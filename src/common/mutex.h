@@ -74,10 +74,13 @@ class JISC_SCOPED_CAPABILITY ReleasableMutexLock {
 };
 
 // Condition variable paired with jisc::Mutex. Wait/WaitFor require the
-// mutex held (and the analysis checks it); the notify side deliberately has
-// no lock requirement — notifying without the mutex is the documented cure
-// for the SpscQueue self-deadlock fixed in PR 1 (MaybeNotify must not
-// re-enter a non-recursive mutex its caller already holds).
+// mutex held (and the analysis checks it); the notify side has no lock
+// requirement, so each queue picks its own wake protocol. BoundedQueue
+// changes its predicate under the mutex and notifies after dropping it.
+// SpscQueue changes its predicate lock-free, so it notifies while holding
+// the mutex (after a seq_cst fence and a check for parked waiters), and
+// only from outside its parked loops, which already hold that non-recursive
+// mutex. See spsc_queue.h for why that protocol loses no wakeups.
 class CondVar {
  public:
   CondVar() = default;

@@ -2,7 +2,6 @@
 #define JISC_COMMON_SPSC_QUEUE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -22,10 +21,19 @@ namespace jisc {
 // one per shard as the coordinator -> worker feed.
 //
 // The blocking wrappers (Push/Pop) implement backpressure: they spin
-// briefly, then park on a condition variable with a short timeout. Timed
-// waits make the sleep path immune to missed-wakeup races without an
-// elaborate eventcount protocol; the unconditional notify on the opposite
-// transition keeps the common case prompt.
+// briefly, then park on a condition variable with an untimed wait. The wake
+// protocol loses no wakeups:
+//   - a parking side takes mu_, registers in waiters_, issues a seq_cst
+//     fence, and only then re-checks the ring before every wait;
+//   - a publishing side moves its cursor, issues a seq_cst fence, and reads
+//     waiters_; if anyone is parked it notifies while holding mu_.
+// The two fences order "cursor moved" against "waiter registered": either
+// the waiter's re-check sees the new cursor, or the publisher sees the
+// waiter. In the latter case the waiter holds mu_ from registering until
+// the wait releases it, so the publisher's notify under mu_ cannot fall
+// between the waiter's last check and its wait. Publishing never notifies
+// from inside a parked loop (which holds mu_ already): the parked loops
+// publish first, leave the lock, then wake the other side.
 //
 // Shutdown/drain: Close() rejects further pushes and wakes waiters; Pop
 // keeps draining buffered items and reports exhaustion only once the ring
@@ -33,10 +41,10 @@ namespace jisc {
 //
 // Concurrency contract (compiler-checked): the ring itself (buf_, head_,
 // tail_, closed_, waiters_) is synchronized by the SPSC discipline plus
-// atomics — no field is guarded by mu_. The mutex exists purely so parked
-// Push/Pop loops have something to wait on; MaybeNotify must therefore
-// never acquire it (see below), which the JISC_EXCLUDES annotations now
-// state to the compiler instead of only to the reader.
+// atomics — no field is guarded by mu_. The mutex exists so parked loops
+// have something to wait on and so a notify cannot slip past a waiter;
+// the JISC_EXCLUDES annotations state to the compiler which entry points
+// take it.
 template <typename T>
 class SpscQueue {
  public:
@@ -52,28 +60,16 @@ class SpscQueue {
   SpscQueue& operator=(const SpscQueue&) = delete;
 
   // Producer side. False when full or closed (v is left intact when full).
-  // Called both bare (fast path) and with mu_ held (the parked Push loop),
-  // so it must not itself touch mu_.
-  bool TryPush(T& v) {
-    if (closed_.load(std::memory_order_relaxed)) return false;
-    uint64_t tail = tail_.load(std::memory_order_relaxed);
-    uint64_t head = head_.load(std::memory_order_acquire);
-    if (tail - head > mask_) return false;  // full
-    buf_[tail & mask_] = std::move(v);
-    tail_.store(tail + 1, std::memory_order_release);
-    MaybeNotify();
+  bool TryPush(T& v) JISC_EXCLUDES(mu_) {
+    if (!Publish(v)) return false;
+    Wake();
     return true;
   }
 
-  // Consumer side. False when nothing is buffered. Same locking caveat as
-  // TryPush.
-  bool TryPop(T* out) {
-    uint64_t head = head_.load(std::memory_order_relaxed);
-    uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head == tail) return false;  // empty
-    *out = std::move(buf_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    MaybeNotify();
+  // Consumer side. False when nothing is buffered.
+  bool TryPop(T* out) JISC_EXCLUDES(mu_) {
+    if (!Take(out)) return false;
+    Wake();
     return true;
   }
 
@@ -84,17 +80,19 @@ class SpscQueue {
       if (closed_.load(std::memory_order_relaxed)) return false;
       std::this_thread::yield();
     }
-    MutexLock lk(&mu_);
-    ++waiters_;
-    for (;;) {
-      if (TryPush(v)) break;
-      if (closed_.load(std::memory_order_relaxed)) {
-        --waiters_;
-        return false;
+    {
+      MutexLock lk(&mu_);
+      Park();
+      while (!Publish(v)) {
+        if (closed_.load(std::memory_order_relaxed)) {
+          Unpark();
+          return false;
+        }
+        cv_.Wait(&mu_);
       }
-      cv_.WaitFor(&mu_, std::chrono::milliseconds(1));
+      Unpark();
     }
-    --waiters_;
+    Wake();
     return true;
   }
 
@@ -108,18 +106,23 @@ class SpscQueue {
       }
       std::this_thread::yield();
     }
-    MutexLock lk(&mu_);
-    ++waiters_;
-    for (;;) {
-      if (TryPop(out)) break;
-      if (closed_.load(std::memory_order_acquire)) {
-        --waiters_;
-        return TryPop(out);
+    bool popped = false;
+    {
+      MutexLock lk(&mu_);
+      Park();
+      for (;;) {
+        popped = Take(out);
+        if (popped) break;
+        if (closed_.load(std::memory_order_acquire)) {
+          popped = Take(out);
+          break;
+        }
+        cv_.Wait(&mu_);
       }
-      cv_.WaitFor(&mu_, std::chrono::milliseconds(1));
+      Unpark();
     }
-    --waiters_;
-    return true;
+    if (popped) Wake();
+    return popped;
   }
 
   void Close() JISC_EXCLUDES(mu_) {
@@ -137,23 +140,54 @@ class SpscQueue {
     return static_cast<size_t>(tail - head);
   }
 
+  // Number of Push/Pop calls currently in their parked loop (racy; lets
+  // tests wait until a side has given up spinning).
+  int parked() const { return waiters_.load(std::memory_order_acquire); }
+
   size_t capacity() const { return mask_ + 1; }
 
  private:
   static constexpr int kSpins = 128;
 
-  // Deliberately does NOT take mu_: the parked loops in Push/Pop call
-  // TryPush/TryPop with mu_ already held, and mu_ is non-recursive — this
-  // is the PR 1 self-deadlock fix, now stated as a checked contract
-  // (TryPush/TryPop carry no JISC_EXCLUDES precisely because they run
-  // under the caller's lock). Notifying without the mutex can lose the
-  // race against a waiter that has checked the condition but not yet
-  // parked; the waiter's 1ms wait timeout heals any such missed wakeup.
-  // waiters_ is a racy hint only.
-  void MaybeNotify() {
-    if (waiters_.load(std::memory_order_relaxed) > 0) {
-      cv_.NotifyAll();
-    }
+  // Ring moves without any wake-up. The parked loops call these with mu_
+  // held; TryPush/TryPop wrap them with Wake().
+  bool Publish(T& v) {
+    if (closed_.load(std::memory_order_relaxed)) return false;
+    uint64_t tail = tail_.load(std::memory_order_relaxed);
+    uint64_t head = head_.load(std::memory_order_acquire);
+    if (tail - head > mask_) return false;  // full
+    buf_[tail & mask_] = std::move(v);
+    tail_.store(tail + 1, std::memory_order_release);
+    return true;
+  }
+
+  bool Take(T* out) {
+    uint64_t head = head_.load(std::memory_order_relaxed);
+    uint64_t tail = tail_.load(std::memory_order_acquire);
+    if (head == tail) return false;  // empty
+    *out = std::move(buf_[head & mask_]);
+    head_.store(head + 1, std::memory_order_release);
+    return true;
+  }
+
+  // Waiter side of the protocol: registration, then the fence, then (in the
+  // caller's loop) the re-check of the ring.
+  void Park() JISC_REQUIRES(mu_) {
+    waiters_.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+  }
+
+  void Unpark() JISC_REQUIRES(mu_) {
+    waiters_.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  // Publisher side: the cursor store, then the fence, then the waiters_
+  // read. The common case (nobody parked) costs the fence and one load.
+  void Wake() JISC_EXCLUDES(mu_) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (waiters_.load(std::memory_order_relaxed) == 0) return;
+    MutexLock lk(&mu_);
+    cv_.NotifyAll();
   }
 
   std::vector<T> buf_;
@@ -161,9 +195,9 @@ class SpscQueue {
   alignas(64) std::atomic<uint64_t> head_{0};  // consumer cursor
   alignas(64) std::atomic<uint64_t> tail_{0};  // producer cursor
   std::atomic<bool> closed_{false};
-  // Parking-only mutex: every shared field above is an atomic synchronized
-  // by the SPSC protocol; mu_/cv_ exist only so the blocking wrappers can
-  // sleep, hence no field is guarded by it.
+  // Parking mutex: every shared field above is an atomic synchronized by
+  // the SPSC protocol; mu_/cv_ exist only so the blocking wrappers can
+  // sleep without missing a wake-up, hence no field is guarded by it.
   // lint: allow(unguarded-mutex): parking-only, all shared state is atomic
   Mutex mu_;
   CondVar cv_;

@@ -1,6 +1,7 @@
 #include "exec/parallel_executor.h"
 
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "common/hash.h"
@@ -80,14 +81,21 @@ int ParallelExecutor::OwnerShard(JoinKey key) const {
 void ParallelExecutor::Enqueue(int shard, ShardEvent ev) {
   Shard& s = *shards_[static_cast<size_t>(shard)];
   s.pending.push_back(std::move(ev));
-  if (s.pending.size() >= options_.batch_size) FlushShard(s);
+  // Hand off at the cap, or as soon as the worker has taken every batch
+  // sent so far: an idle worker gets each event at once, while a busy one
+  // lets the next batch fill up to batch_size behind the one it holds.
+  if (s.pending.size() >= options_.batch_size || s.feed.SizeApprox() == 0) {
+    FlushShard(s);
+  }
 }
 
 void ParallelExecutor::FlushShard(Shard& s) {
   if (s.pending.empty()) return;
-  EventBatch batch;
-  batch.reserve(options_.batch_size);
-  batch.swap(s.pending);
+  // The sent batch is sized to its contents (an idle worker's batches hold
+  // an event or two); pending keeps its batch_size capacity for the next.
+  EventBatch batch(std::make_move_iterator(s.pending.begin()),
+                   std::make_move_iterator(s.pending.end()));
+  s.pending.clear();
   if (telemetry_ == nullptr) {
     bool pushed = s.feed.Push(std::move(batch));
     JISC_CHECK(pushed) << "shard feed closed while pushing";

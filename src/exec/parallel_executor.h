@@ -54,6 +54,14 @@ class TelemetryRegistry;
 // bounded MPSC queue. Shutdown closes every feed and joins the workers
 // after they drain.
 //
+// Hand-off is adaptive: the coordinator sends a shard's pending events as
+// soon as that shard's feed is empty (its worker has taken everything sent
+// so far), and otherwise once batch_size events have accumulated. An idle
+// worker therefore sees each event at once, while a busy worker — a closed
+// loop, or set-up — still receives full batches; batch_size is a cap, not a
+// fill target. Batch boundaries never change a shard's event sequence, so
+// outputs and counters do not depend on them.
+//
 // The public StreamProcessor surface must be driven by ONE thread (the
 // coordinator); every entry point with that contract carries the
 // JISC_COORDINATOR_ONLY marker below — the single source of truth,
@@ -69,7 +77,8 @@ class ParallelExecutor : public StreamProcessor {
     int num_shards = 4;
     // Shard feed capacity in batches; the producer blocks when full.
     size_t queue_capacity = 256;
-    // Events accumulated per shard before a queue hand-off.
+    // Most events per queue hand-off. A batch is sent early whenever its
+    // shard's feed is empty, so this caps batches for busy workers only.
     size_t batch_size = 64;
     // Observability bundle (nullptr = off). The coordinator records its
     // broadcast/barrier spans on track 0; shard processors (wired by the

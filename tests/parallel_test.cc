@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -179,6 +180,57 @@ TEST(SpscQueueTest, TryOpsRespectCapacity) {
   while (q.TryPop(&out)) ++popped;
   EXPECT_EQ(popped, pushed);
   EXPECT_FALSE(q.TryPop(&out));
+}
+
+// Single-item ping-pong in which each side sends only once the other has
+// given up spinning and entered its parked loop, so every item crosses the
+// park path: the receiver registers as a waiter, re-checks the ring and
+// sleeps, and the sender's publish must wake it. The waits are untimed, so
+// a lost wakeup would hang; the main thread closes both queues after a
+// deadline so such a regression fails instead.
+TEST(SpscQueueTest, ParkedPingPongLosesNoWakeups) {
+  SpscQueue<uint64_t> ping(2);
+  SpscQueue<uint64_t> pong(2);
+  constexpr uint64_t kItems = 300;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> acked{0};
+  auto wait_parked = [&](const SpscQueue<uint64_t>& q) {
+    while (q.parked() == 0 && !stop.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  };
+  std::thread producer([&] {
+    for (uint64_t i = 0; i < kItems; ++i) {
+      wait_parked(ping);
+      if (!ping.Push(i)) return;
+      uint64_t ack = 0;
+      if (!pong.Pop(&ack)) return;
+      EXPECT_EQ(ack, i);
+      acked.store(i + 1, std::memory_order_release);
+    }
+  });
+  std::thread consumer([&] {
+    uint64_t v = 0;
+    for (uint64_t expected = 0; expected < kItems; ++expected) {
+      if (!ping.Pop(&v)) return;
+      EXPECT_EQ(v, expected);  // in order, none lost or repeated
+      wait_parked(pong);
+      if (!pong.Push(v)) return;
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (acked.load(std::memory_order_acquire) < kItems &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(acked.load(std::memory_order_acquire), kItems)
+      << "a parked side was not woken by the other side's publish";
+  stop.store(true, std::memory_order_release);
+  ping.Close();
+  pong.Close();
+  producer.join();
+  consumer.join();
 }
 
 // --- sharded engine equivalence -------------------------------------------
@@ -480,9 +532,10 @@ TEST(ParallelExecutorTest, MetricsApproxTotalsAreMonotone) {
 
 std::unique_ptr<StreamProcessor> MakeShardedFluid(
     const LogicalPlan& plan, const WindowSpec& windows, Sink* sink,
-    int parallelism, ParallelExecutor::Options popts) {
+    int parallelism, ParallelExecutor::Options popts,
+    FluidOptions::Mode mode) {
   FluidOptions fluid;
-  fluid.mode = FluidOptions::Mode::kFluid;
+  fluid.mode = mode;
   fluid.batch_keys = 2;  // keep the per-shard drain alive across events
   Engine::Options eopts;
   eopts.maintain_period = 32;
@@ -494,8 +547,15 @@ std::unique_ptr<StreamProcessor> MakeShardedFluid(
       ProcessorKind::kJisc, fluid), eopts, popts);
 }
 
-std::vector<std::pair<std::string, uint64_t>> RunShardedFluid(
-    int parallelism, ParallelExecutor::Options popts, CollectingSink* sink) {
+using CounterList = std::vector<std::pair<std::string, uint64_t>>;
+
+// `pause` > 0 makes the producer sleep after every push, so each worker
+// drains its feed between events and the adaptive hand-off sends batches
+// of one or two events instead of full ones.
+CounterList RunShardedFluid(
+    int parallelism, ParallelExecutor::Options popts, CollectingSink* sink,
+    FluidOptions::Mode mode = FluidOptions::Mode::kFluid,
+    std::chrono::microseconds pause = std::chrono::microseconds(0)) {
   int streams = 4;
   uint64_t window = 40;
   LogicalPlan plan =
@@ -503,7 +563,7 @@ std::vector<std::pair<std::string, uint64_t>> RunShardedFluid(
   LogicalPlan reversed = LogicalPlan::LeftDeep(
       WorstCaseOrder(IdentityOrder(streams)), OpKind::kHashJoin);
   auto proc = MakeShardedFluid(plan, WindowSpec::Uniform(streams, window),
-                               sink, parallelism, popts);
+                               sink, parallelism, popts, mode);
   auto tuples = UniformWorkload(streams, window, 1200, /*seed=*/11);
   std::map<size_t, LogicalPlan> schedule{{500, reversed}, {900, plan}};
   for (size_t i = 0; i < tuples.size(); ++i) {
@@ -512,6 +572,7 @@ std::vector<std::pair<std::string, uint64_t>> RunShardedFluid(
       EXPECT_TRUE(proc->RequestTransition(it->second).ok());
     }
     proc->Push(tuples[i]);
+    if (pause.count() > 0) std::this_thread::sleep_for(pause);
   }
   return proc->metrics().NamedCounters();  // quiesces all shards
 }
@@ -541,6 +602,44 @@ TEST(ParallelFluidTest, RepeatedShardedFluidRunsAreDeterministic) {
             IdentityMultiset(sink2.outputs()));
 }
 
+uint64_t CounterValue(const CounterList& counters, const std::string& name) {
+  for (const auto& [key, value] : counters) {
+    if (key == name) return value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+TEST(ParallelFluidTest, ThrottledProducerMatchesOracle) {
+  const auto pause = std::chrono::microseconds(20);
+  for (FluidOptions::Mode mode :
+       {FluidOptions::Mode::kAllAtOnce, FluidOptions::Mode::kFluid}) {
+    SCOPED_TRACE(mode == FluidOptions::Mode::kFluid ? "fluid"
+                                                    : "all-at-once");
+    const ParallelExecutor::Options popts;
+    CollectingSink oracle_sink;
+    auto oracle = RunShardedFluid(1, popts, &oracle_sink, mode);
+    CollectingSink batched_sink;
+    auto batched = RunShardedFluid(4, popts, &batched_sink, mode);
+    CollectingSink throttled_sink;
+    auto throttled = RunShardedFluid(4, popts, &throttled_sink, mode, pause);
+    EXPECT_EQ(IdentityMultiset(throttled_sink.outputs()),
+              IdentityMultiset(oracle_sink.outputs()));
+    EXPECT_EQ(IdentityMultiset(throttled_sink.retractions()),
+              IdentityMultiset(oracle_sink.retractions()));
+    EXPECT_GT(throttled_sink.outputs().size(), 0u);
+    // Batch boundaries never change a shard's event sequence, so every
+    // counter matches the unthrottled run at the same shard count. Across
+    // shard counts only the input/output totals are invariant (count-window
+    // expiry is charged per shard).
+    EXPECT_EQ(throttled, batched);
+    for (const char* name : {"arrivals", "outputs", "retractions"}) {
+      EXPECT_EQ(CounterValue(throttled, name), CounterValue(oracle, name))
+          << name;
+    }
+  }
+}
+
 TEST(ParallelFluidTest, StragglerShardDoesNotPerturbFluidCounters) {
   // A wall-clock straggler fault changes thread interleaving, not work:
   // the faulted fluid run's deterministic counters and output multiset
@@ -556,6 +655,76 @@ TEST(ParallelFluidTest, StragglerShardDoesNotPerturbFluidCounters) {
   EXPECT_EQ(clean, faulted);
   EXPECT_EQ(IdentityMultiset(clean_sink.outputs()),
             IdentityMultiset(faulted_sink.outputs()));
+}
+
+// Counts outputs with an atomic so the test thread can poll it while the
+// shard workers deliver.
+class AtomicCountingSink : public Sink {
+ public:
+  void OnOutput(const Tuple&, Stamp) override {
+    outputs_.fetch_add(1, std::memory_order_relaxed);
+  }
+  uint64_t outputs() const { return outputs_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> outputs_{0};
+};
+
+TEST(ParallelExecutorTest, IdleExecutorDeliversWithoutBarrier) {
+  // Fewer tuples than batch_size, all on one key, each pushed once the
+  // worker has processed the one before (its arrival counter shows it):
+  // the worker is idle at every push, so the event must be handed off at
+  // once rather than wait for a full batch or a Barrier. (An event pushed
+  // while the worker still holds an untaken batch waits for the next push
+  // or a Barrier instead; nothing else flushes it.)
+  int streams = 2;
+  LogicalPlan plan =
+      LogicalPlan::LeftDeep(IdentityOrder(streams), OpKind::kHashJoin);
+  WindowSpec windows = WindowSpec::Uniform(streams, 100);
+  std::vector<BaseTuple> tuples;
+  for (uint64_t i = 0; i < 6; ++i) {
+    BaseTuple t;
+    t.stream = static_cast<StreamId>(i % 2);
+    t.key = 7;
+    t.seq = i + 1;
+    t.ts = i + 1;
+    tuples.push_back(t);
+  }
+  CountingSink oracle_sink;
+  auto oracle = MakeEngineProcessor(
+      plan, windows, &oracle_sink, [] { return MakeJiscStrategy(); },
+      Engine::Options());
+  for (const BaseTuple& t : tuples) oracle->Push(t);
+  const uint64_t expected = oracle_sink.outputs();
+  ASSERT_GT(expected, 0u);
+
+  Engine::Options eopts;
+  eopts.parallelism = 3;
+  ParallelExecutor::Options popts;
+  ASSERT_GT(popts.batch_size, tuples.size());
+  AtomicCountingSink sink;
+  auto proc = MakeEngineProcessor(
+      plan, windows, &sink, [] { return MakeJiscStrategy(); }, eopts, popts);
+  auto* parallel = dynamic_cast<ParallelExecutor*>(proc.get());
+  ASSERT_NE(parallel, nullptr);
+  // Polls (without quiescing) until `done` holds or a generous deadline.
+  auto poll = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return done();
+  };
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    proc->Push(tuples[i]);
+    ASSERT_TRUE(poll([&] {
+      return parallel->MetricsApprox().arrivals.value() == i + 1;
+    })) << "tuple " << i << " not delivered to its idle shard";
+  }
+  EXPECT_TRUE(poll([&] { return sink.outputs() == expected; }))
+      << "outputs of an idle executor must arrive without a Barrier; got "
+      << sink.outputs() << " of " << expected;
 }
 
 TEST(ParallelExecutorTest, BackpressureSurvivesTinyQueues) {
