@@ -3,10 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "common/hash.h"
+#include "common/flat_map.h"
 #include "types/tuple.h"
 
 namespace jisc {
@@ -54,7 +53,7 @@ class FreshnessTracker {
 
  private:
   uint64_t generation_ = 0;
-  std::vector<std::unordered_map<JoinKey, uint64_t, I64Hash>> attempted_;
+  std::vector<FlatMap<uint64_t>> attempted_;
 };
 
 }  // namespace jisc

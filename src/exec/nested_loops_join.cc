@@ -23,9 +23,10 @@ void NestedLoopsJoin::OnData(const Tuple& tuple, Side from, ExecContext* ctx) {
     }
     for (const Tuple& m : matches) {
       Tuple out = Tuple::Concat(tuple, m, ctx->stamp, tuple.fresh());
-      state_->Insert(out, ctx->stamp);
+      // Emit, then move into this state (see SymmetricHashJoin::OnData).
+      EmitData(out, ctx);
+      state_->Insert(std::move(out), ctx->stamp);
       if (ctx->metrics != nullptr) ++ctx->metrics->inserts;
-      EmitData(std::move(out), ctx);
     }
     return;
   }
@@ -44,9 +45,9 @@ void NestedLoopsJoin::OnData(const Tuple& tuple, Side from, ExecContext* ctx) {
   }
   for (const Tuple* m : matches) {
     Tuple out = Tuple::Concat(tuple, *m, ctx->stamp, tuple.fresh());
-    state_->Insert(out, ctx->stamp);
+    EmitData(out, ctx);
+    state_->Insert(std::move(out), ctx->stamp);
     if (ctx->metrics != nullptr) ++ctx->metrics->inserts;
-    EmitData(std::move(out), ctx);
   }
 }
 

@@ -64,7 +64,7 @@ void Operator::OnInnerClear(const Tuple& tuple, ExecContext* ctx) {
   JISC_CHECK(false) << "OnInnerClear reached a non-set-difference operator";
 }
 
-void Operator::EmitData(Tuple tuple, ExecContext* ctx) {
+void Operator::EmitData(const Tuple& tuple, ExecContext* ctx) {
   if (parent_ == nullptr) {
     if (ctx->metrics != nullptr) ++ctx->metrics->outputs;
     if (ctx->sink != nullptr) ctx->sink->OnOutput(tuple, ctx->stamp);

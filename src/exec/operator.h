@@ -142,9 +142,10 @@ class Operator {
                          ExecContext* ctx) = 0;
   virtual void OnInnerClear(const Tuple& tuple, ExecContext* ctx);
 
-  // Sends a data tuple to the parent queue, or to the sink at the root.
-  // Takes by value: callers hand over ownership (std::move) on the hot path.
-  void EmitData(Tuple tuple, ExecContext* ctx);
+  // Sends a data tuple to the parent (direct dispatch), or to the sink at
+  // the root. Neither keeps it, so an operator can emit a new combination
+  // and then move it into its own state.
+  void EmitData(const Tuple& tuple, ExecContext* ctx);
   // Propagates an expiry upward.
   void EmitRemoval(const BaseTuple& base, ExecContext* ctx);
   // Root only: withdraws previously emitted results.

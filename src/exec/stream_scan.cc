@@ -63,9 +63,12 @@ void StreamScan::OnArrival(const BaseTuple& base, ExecContext* ctx) {
     fresh = ctx->freshness->ClassifyAndMark(stream_, base.key);
   }
   Tuple t = Tuple::FromBase(base, ctx->stamp, fresh);
-  state_->Insert(t, ctx->stamp);
+  // Emit first, then move into the window state: an entry inserted at
+  // stamp s is invisible to every probe at stamp s (Entry::VisibleAt), so
+  // no probe in the cascade could have seen it.
+  EmitData(t, ctx);
+  state_->Insert(std::move(t), ctx->stamp);
   if (ctx->metrics != nullptr) ++ctx->metrics->inserts;
-  EmitData(std::move(t), ctx);
 }
 
 void StreamScan::ExpireFront(ExecContext* ctx) {

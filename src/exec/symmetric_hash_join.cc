@@ -21,21 +21,24 @@ void SymmetricHashJoin::OnData(const Tuple& tuple, Side from,
   // two steady-clock reads per probe/insert is real hot-path cost.
   bool timed = ctx->obs != nullptr && ctx->obs->options.record_service_times;
   uint64_t t0 = timed ? ctx->obs->trace.NowNs() : 0;
-  std::vector<const Tuple*> matches;
-  opposite->state().CollectMatchPtrs(tuple.key(), ctx->stamp, &matches);
+  matches_.clear();
+  opposite->state().CollectMatchPtrs(tuple.key(), ctx->stamp, &matches_);
   if (timed) ctx->obs->probe_ns.Record(ctx->obs->trace.NowNs() - t0);
   if (ctx->metrics != nullptr) {
     ++ctx->metrics->probes;
-    ctx->metrics->probe_entries += matches.size();
-    ctx->metrics->matches += matches.size();
+    ctx->metrics->probe_entries += matches_.size();
+    ctx->metrics->matches += matches_.size();
   }
-  for (const Tuple* m : matches) {
+  for (const Tuple* m : matches_) {
     Tuple out = Tuple::Concat(tuple, *m, ctx->stamp, tuple.fresh());
+    // Emit first, then move into this state: an entry inserted at stamp s
+    // is invisible to every probe at stamp s (Entry::VisibleAt), so no
+    // probe in the cascade could have seen it.
+    EmitData(out, ctx);
     if (timed) t0 = ctx->obs->trace.NowNs();
-    state_->Insert(out, ctx->stamp);
+    state_->Insert(std::move(out), ctx->stamp);
     if (timed) ctx->obs->insert_ns.Record(ctx->obs->trace.NowNs() - t0);
     if (ctx->metrics != nullptr) ++ctx->metrics->inserts;
-    EmitData(std::move(out), ctx);
   }
 }
 

@@ -1,6 +1,8 @@
 #ifndef JISC_EXEC_SYMMETRIC_HASH_JOIN_H_
 #define JISC_EXEC_SYMMETRIC_HASH_JOIN_H_
 
+#include <vector>
+
 #include "exec/operator.h"
 
 namespace jisc {
@@ -23,6 +25,11 @@ class SymmetricHashJoin : public Operator {
  protected:
   void OnData(const Tuple& tuple, Side from, ExecContext* ctx) override;
   void OnRemoval(const BaseTuple& base, Side from, ExecContext* ctx) override;
+
+ private:
+  // Probe results of the current OnData, reused across calls. A cascade
+  // only climbs to ancestors, so OnData never re-enters on one operator.
+  std::vector<const Tuple*> matches_;
 };
 
 }  // namespace jisc

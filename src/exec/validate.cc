@@ -127,8 +127,7 @@ uint64_t StateBytes(const OperatorState& st) {
     bytes += sizeof(Tuple) + 2 * sizeof(Stamp);     // entry
     bytes += t.parts().size() * sizeof(BaseTuple);  // parts storage
   });
-  bytes += st.DistinctLiveKeys() * 48;  // bucket bookkeeping estimate
-  return bytes;
+  return bytes + st.TableBytes();  // bucket table slots
 }
 
 uint64_t StateMemoryBytes(const PipelineExecutor& exec) {

@@ -29,25 +29,27 @@ void OperatorState::NoteInsert(Bucket* b) {
   ++live_size_;
 }
 
-void OperatorState::NoteRemove(Bucket* b) {
+void OperatorState::NoteRemove(JoinKey key, Bucket* b) {
   JISC_DCHECK(b->live > 0);
   --b->live;
   --live_size_;
   if (b->live == 0) --live_keys_;
+  // Queue the bucket once per vacuum cycle: one compaction pass then
+  // covers every entry removed from it, however many there are.
+  if (!b->dirty) {
+    b->dirty = true;
+    dirty_keys_.push_back(key);
+  }
 }
 
-bool OperatorState::Insert(const Tuple& tuple, Stamp insert_stamp,
-                           bool dedup) {
+bool OperatorState::Insert(Tuple tuple, Stamp insert_stamp, bool dedup) {
   Bucket& b = buckets_[tuple.key()];
   if (dedup) {
     for (const Entry& e : b.entries) {
       if (e.live() && e.tuple == tuple) return false;
     }
   }
-  Entry e;
-  e.tuple = tuple;
-  e.insert_stamp = insert_stamp;
-  b.entries.push_back(std::move(e));
+  b.entries.push_back(Entry{std::move(tuple), insert_stamp});
   NoteInsert(&b);
   return true;
 }
@@ -55,14 +57,13 @@ bool OperatorState::Insert(const Tuple& tuple, Stamp insert_stamp,
 int OperatorState::RemoveContaining(Seq seq, JoinKey key, Stamp remove_stamp,
                                     std::vector<Tuple>* removed) {
   int count = 0;
-  auto scan_bucket = [&](Bucket& b) {
+  auto scan_bucket = [&](JoinKey k, Bucket& b) {
     for (Entry& e : b.entries) {
       if (e.live() && e.tuple.ContainsSeq(seq)) {
         e.remove_stamp = remove_stamp;
-        NoteRemove(&b);
+        NoteRemove(k, &b);
         if (removed != nullptr) removed->push_back(e.tuple);
         ++count;
-        dirty_keys_.push_back(e.tuple.key());
       }
     }
   };
@@ -70,12 +71,9 @@ int OperatorState::RemoveContaining(Seq seq, JoinKey key, Stamp remove_stamp,
     // Equi-join combinations share the key of every part, so combinations
     // containing `seq` can only live in this key's bucket.
     auto it = buckets_.find(key);
-    if (it != buckets_.end()) scan_bucket(it->second);
+    if (it != buckets_.end()) scan_bucket(key, it->second);
   } else {
-    for (auto& [k, b] : buckets_) {
-      (void)k;
-      scan_bucket(b);
-    }
+    for (auto& [k, b] : buckets_) scan_bucket(k, b);
   }
   return count;
 }
@@ -86,8 +84,7 @@ bool OperatorState::RemoveExact(const Tuple& tuple, Stamp remove_stamp) {
   for (Entry& e : it->second.entries) {
     if (e.live() && e.tuple == tuple) {
       e.remove_stamp = remove_stamp;
-      NoteRemove(&it->second);
-      dirty_keys_.push_back(tuple.key());
+      NoteRemove(tuple.key(), &it->second);
       return true;
     }
   }
@@ -99,17 +96,18 @@ void OperatorState::VacuumBucket(Bucket* bucket) {
   entries.erase(std::remove_if(entries.begin(), entries.end(),
                                [](const Entry& e) { return !e.live(); }),
                 entries.end());
+  bucket->dirty = false;
 }
 
 void OperatorState::Vacuum() {
-  for (auto it = buckets_.begin(); it != buckets_.end();) {
-    VacuumBucket(&it->second);
-    if (it->second.entries.empty()) {
-      it = buckets_.erase(it);
-    } else {
-      ++it;
-    }
+  // Erasing shifts a cluster's tail back over the hole, and a cluster may
+  // wrap the table's end: collect the emptied keys, then erase them.
+  std::vector<JoinKey> emptied;
+  for (auto& [k, b] : buckets_) {
+    VacuumBucket(&b);
+    if (b.entries.empty()) emptied.push_back(k);
   }
+  for (JoinKey k : emptied) buckets_.erase(k);
   dirty_keys_.clear();
 }
 
@@ -232,13 +230,12 @@ bool OperatorState::ContainsExactLive(const Tuple& tuple) const {
 uint64_t OperatorState::ApproxBytes() const {
   // Mirrors exec/validate.cc StateBytes: per live entry the combination
   // record plus its insert/remove stamps plus `arity` base-tuple parts, and
-  // per live key the estimated hash-bucket overhead. Exact for this state
-  // layout because every combination of a subtree has the same width.
+  // the bucket table's slot array. Exact for this state layout because
+  // every combination of a subtree has the same width.
   const uint64_t arity = static_cast<uint64_t>(id_.size());
   const uint64_t per_entry =
       sizeof(Tuple) + 2 * sizeof(Stamp) + arity * sizeof(BaseTuple);
-  return static_cast<uint64_t>(live_size_) * per_entry +
-         static_cast<uint64_t>(live_keys_) * 48;
+  return static_cast<uint64_t>(live_size_) * per_entry + TableBytes();
 }
 
 std::vector<JoinKey> OperatorState::LiveKeys() const {

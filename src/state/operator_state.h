@@ -6,11 +6,11 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/hash.h"
 #include "types/tuple.h"
 
@@ -34,6 +34,14 @@ enum class StateIndex {
 // symmetric pipeline (the later tuple of a pair produces it) and makes the
 // output independent of intra-event scheduling. Removed entries are
 // physically erased by Vacuum(), which the engine calls between events.
+//
+// Layout: entries are grouped into per-key buckets, each a contiguous
+// vector in insertion order, held in one open-addressing FlatMap keyed by
+// the join attribute (common/flat_map.h). A bucket is queued for vacuum
+// once per cycle however many of its entries are removed, so vacuum work is
+// linear in the size of the touched buckets. Insert takes the combination
+// by value and moves it into its entry: operators emit a new combination
+// first and then move it into their own state, one copy per combination.
 //
 // Completeness (Definition 1) is a property of the state tracked here as a
 // flag plus the set of join-attribute values whose entries have been
@@ -60,7 +68,7 @@ class OperatorState {
   // identical live combination already exists (required during JISC state
   // completion, where the cross product may regenerate combinations that
   // already flowed in after the transition). Returns true if inserted.
-  bool Insert(const Tuple& tuple, Stamp insert_stamp, bool dedup = false);
+  bool Insert(Tuple tuple, Stamp insert_stamp, bool dedup = false);
 
   // Tombstones every live combination containing base-tuple `seq` with key
   // `key` (expiry propagation). For hash states the search is confined to
@@ -82,6 +90,8 @@ class OperatorState {
   void VacuumDirty();
 
   bool HasTombstones() const { return !dirty_keys_.empty(); }
+  // Keys queued for the next VacuumDirty(); each at most once.
+  size_t PendingVacuumKeys() const { return dirty_keys_.size(); }
 
   // Drops everything (state discard at transition).
   void Clear();
@@ -132,11 +142,13 @@ class OperatorState {
   size_t live_size() const { return live_size_; }
   // O(1) resident-bytes estimate from the incrementally-tracked counters:
   // every live combination of this state is exactly id().size() parts wide,
-  // so entry + parts storage follow from live_size() alone, plus the same
-  // per-key bucket overhead exec/validate.cc's exact walk charges. Cheap
-  // enough for the telemetry gauge refresh on the hot path's maintain
-  // cadence, where the ForEachLive walk is not.
+  // so entry + parts storage follow from live_size() alone, plus the bucket
+  // table's footprint (TableBytes()), as exec/validate.cc's exact walk
+  // charges. Cheap enough for the telemetry gauge refresh on the hot path's
+  // maintain cadence, where the ForEachLive walk is not.
   uint64_t ApproxBytes() const;
+  // Bytes of the bucket table itself: its capacity times the slot size.
+  uint64_t TableBytes() const { return buckets_.table_bytes(); }
   // Number of distinct keys with at least one live entry (the paper's
   // "number of distinct values of the join attribute inside the state",
   // used to initialize completion counters).
@@ -170,17 +182,18 @@ class OperatorState {
 
   struct Bucket {
     std::vector<Entry> entries;
-    size_t live = 0;
+    uint32_t live = 0;
+    bool dirty = false;  // queued in dirty_keys_ for the next vacuum
   };
 
   void NoteInsert(Bucket* b);
-  void NoteRemove(Bucket* b);
+  void NoteRemove(JoinKey key, Bucket* b);
 
   void VacuumBucket(Bucket* bucket);
 
   StreamSet id_;
   StateIndex index_;
-  std::unordered_map<JoinKey, Bucket, I64Hash> buckets_;
+  FlatMap<Bucket> buckets_;
   std::vector<JoinKey> dirty_keys_;
   size_t live_size_ = 0;
   size_t live_keys_ = 0;

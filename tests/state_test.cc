@@ -89,6 +89,47 @@ TEST_F(OperatorStateTest, VacuumDirtyErasesTombstones) {
   EXPECT_EQ(out.size(), 1u);
 }
 
+// A hot key's bucket is queued for vacuum once per cycle, not once per
+// removed entry, so VacuumDirty compacts it in one pass.
+TEST_F(OperatorStateTest, HotKeyRemovalsQueueBucketOnce) {
+  for (Seq seq = 1; seq <= 1000; ++seq) state_.Insert(T(0, 5, seq), 1);
+  state_.Insert(T(0, 6, 1001), 1);
+  for (Seq seq = 1; seq <= 500; ++seq) {
+    ASSERT_EQ(state_.RemoveContaining(seq, 5, /*remove_stamp=*/2, nullptr),
+              1);
+  }
+  for (Seq seq = 501; seq <= 1000; ++seq) {
+    ASSERT_TRUE(state_.RemoveExact(T(0, 5, seq), 2));
+  }
+  EXPECT_EQ(state_.PendingVacuumKeys(), 1u);
+  state_.RemoveContaining(1001, 6, 2, nullptr);
+  EXPECT_EQ(state_.PendingVacuumKeys(), 2u);
+  state_.VacuumDirty();
+  EXPECT_EQ(state_.PendingVacuumKeys(), 0u);
+  EXPECT_FALSE(state_.ContainsKeyLive(5));
+  // The flag is cleared with the vacuum: the next cycle queues again.
+  state_.Insert(T(0, 5, 1002), 3);
+  state_.Insert(T(0, 5, 1003), 3);
+  state_.RemoveContaining(1002, 5, 4, nullptr);
+  state_.RemoveContaining(1003, 5, 4, nullptr);
+  EXPECT_EQ(state_.PendingVacuumKeys(), 1u);
+}
+
+// One RemoveContaining that tombstones 1,000 combinations of one bucket.
+TEST(OperatorStateComboTest, HotComboRemovalQueuesBucketOnce) {
+  OperatorState st(StreamSet::Union(StreamSet::Single(0),
+                                    StreamSet::Single(1)),
+                   StateIndex::kHash);
+  for (Seq seq = 2; seq <= 1001; ++seq) {
+    st.Insert(Tuple::Concat(T(0, 5, 1), T(1, 5, seq), 3, true), 3);
+  }
+  EXPECT_EQ(st.RemoveContaining(1, 5, 9, nullptr), 1000);
+  EXPECT_EQ(st.PendingVacuumKeys(), 1u);
+  st.VacuumDirty();
+  EXPECT_FALSE(st.HasTombstones());
+  EXPECT_EQ(st.live_size(), 0u);
+}
+
 TEST_F(OperatorStateTest, ContainsKeyLiveAndExact) {
   state_.Insert(T(0, 5, 1), 1);
   EXPECT_TRUE(state_.ContainsKeyLive(5));

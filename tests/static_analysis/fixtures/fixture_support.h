@@ -57,6 +57,19 @@ struct ByteWriter {
   std::string Take() { return ""; }
 };
 
+// Stand-in for the project's open-addressing map (common/flat_map.h): it
+// iterates in slot order, which is hash order.
+template <typename V>
+class FlatMap {
+ public:
+  using Slots = std::unordered_map<int64_t, V>;
+  typename Slots::const_iterator begin() const { return slots_.begin(); }
+  typename Slots::const_iterator end() const { return slots_.end(); }
+
+ private:
+  Slots slots_;
+};
+
 }  // namespace fix
 
 #endif  // JISC_TESTS_STATIC_ANALYSIS_FIXTURES_FIXTURE_SUPPORT_H_

@@ -124,5 +124,31 @@ TEST(ValidateTest, StateMemoryTracksContent) {
   EXPECT_GT(filled, 32u * (sizeof(Tuple)));  // windows alone hold 32 tuples
 }
 
+// The O(1) telemetry estimate and the exact walk charge the same bytes,
+// including the bucket table's slot array, mid-migration too.
+TEST(ValidateTest, StateBytesAgreesWithApproxBytes) {
+  LogicalPlan plan = LogicalPlan::LeftDeep(IdentityOrder(3),
+                                           OpKind::kHashJoin);
+  LogicalPlan next = LogicalPlan::LeftDeep({2, 1, 0}, OpKind::kHashJoin);
+  WindowSpec windows = WindowSpec::Uniform(3, 32);
+  CountingSink sink;
+  Engine engine(plan, windows, &sink, MakeJiscStrategy());
+  auto tuples = UniformWorkload(3, 16, 400);
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (i == 200) {
+      ASSERT_TRUE(engine.RequestTransition(next).ok());
+    }
+    engine.Push(tuples[i]);
+    if (i % 40 != 39) continue;
+    const PipelineExecutor& exec = engine.executor();
+    for (int id = 0; id < exec.num_ops(); ++id) {
+      const OperatorState& st = exec.op(id)->state();
+      EXPECT_EQ(StateBytes(st), st.ApproxBytes()) << "op " << id;
+      EXPECT_GE(st.ApproxBytes(), st.TableBytes());
+    }
+    EXPECT_EQ(StateMemoryBytes(exec), ApproxStateMemoryBytes(exec));
+  }
+}
+
 }  // namespace
 }  // namespace jisc

@@ -130,7 +130,8 @@ def build_model_clang(paths, build_dir):
                 elif f"unique_ptr<" in t and ptr_t in t:
                     obs[child.spelling] = ptr_t
             if "unordered_map<" in t or "unordered_set<" in t or \
-                    "unordered_multimap<" in t or "unordered_multiset<" in t:
+                    "unordered_multimap<" in t or \
+                    "unordered_multiset<" in t or "FlatMap<" in t:
                 unordered.add(child.spelling)
 
     def visit_function(cursor, path):

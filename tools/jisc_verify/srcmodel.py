@@ -200,8 +200,12 @@ _FIELD_OBS_RE = re.compile(
 _FIELD_OBS_UPTR_RE = re.compile(
     r"\bstd::unique_ptr<\s*(Observability|TelemetryRegistry)\s*>\s+"
     r"([A-Za-z_]\w*)\s*;")
-_FIELD_UNORDERED_RE = re.compile(
-    r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<")
+# Hash-ordered containers: the std unordered family and the project's
+# open-addressing FlatMap (common/flat_map.h), whose slot order is hash
+# order too.
+_UNORDERED_TYPE = (r"\b(?:std::unordered_(?:map|set|multimap|multiset)"
+                   r"|FlatMap)\s*<")
+_FIELD_UNORDERED_RE = re.compile(_UNORDERED_TYPE)
 _PARAM_OBS_RE = re.compile(
     r"\b(?:const\s+)?(Observability|TelemetryRegistry)\s*\*\s*(?:const\s+)?"
     r"([A-Za-z_]\w*)")
@@ -517,8 +521,7 @@ def _extract_sites(fn, body, body_pos0, code, cls_fields_obs,
 
     # --- unordered-container iteration ---
     local_unordered = set()
-    for m in re.finditer(
-            r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<", body):
+    for m in re.finditer(_UNORDERED_TYPE, body):
         depth, i = 0, m.end() - 1
         while i < len(body):
             if body[i] == "<":
