@@ -30,7 +30,7 @@ class JISC_CAPABILITY("mutex") Mutex {
 
  private:
   friend class CondVar;
-  // lint: allow(unguarded-mutex): this IS the annotated wrapper
+  // jisc-verify: allow(unguarded-mutex) — this IS the annotated wrapper
   std::mutex mu_;
 };
 

@@ -198,7 +198,7 @@ class SpscQueue {
   // Parking mutex: every shared field above is an atomic synchronized by
   // the SPSC protocol; mu_/cv_ exist only so the blocking wrappers can
   // sleep without missing a wake-up, hence no field is guarded by it.
-  // lint: allow(unguarded-mutex): parking-only, all shared state is atomic
+  // jisc-verify: allow(unguarded-mutex) — parking-only, shared state is atomic
   Mutex mu_;
   CondVar cv_;
   std::atomic<int> waiters_{0};

@@ -65,8 +65,8 @@ class TelemetryRegistry;
 // The public StreamProcessor surface must be driven by ONE thread (the
 // coordinator); every entry point with that contract carries the
 // JISC_COORDINATOR_ONLY marker below — the single source of truth,
-// enforced by tools/lint_contracts.py (worker-thread code may not call a
-// marked method). Push is asynchronous (it returns once the event is
+// enforced by tools/jisc_verify (no worker-thread path may reach a marked
+// method). Push is asynchronous (it returns once the event is
 // enqueued); metrics()/StateMemory() quiesce all shards through the same
 // feed queues and ack channel as Push/RequestTransition, which is exactly
 // why they are marked too. Monitoring threads that want a live view must
@@ -172,8 +172,8 @@ class ParallelExecutor : public StreamProcessor {
   // first non-OK status.
   JISC_COORDINATOR_ONLY Status BroadcastAndWait(const ShardEvent& ev);
   // Worker-thread entry point (jisc-worker-entry): everything reachable
-  // from here runs on a shard thread, so tools/lint_contracts.py forbids
-  // calls to JISC_COORDINATOR_ONLY methods inside it.
+  // from here runs on a shard thread, so tools/jisc_verify forbids any
+  // path from it to a JISC_COORDINATOR_ONLY method.
   void WorkerLoop(int shard_index);
 
   Options options_;

@@ -55,7 +55,7 @@ TelemetrySampler::TelemetrySampler(Observability* obs, Options options)
   JISC_CHECK(options_.ring_capacity > 0);
   JISC_CHECK(options_.watchdog_samples >= 2);
   if (options_.start_thread) {
-    // lint: allow(naked-thread): sampler-owned monitoring thread
+    // jisc-verify: allow(naked-thread) — sampler-owned monitoring thread
     thread_ = std::thread([this] { Loop(); });
   }
 }

@@ -26,7 +26,7 @@ class CleanLockOrder {
 
   Mutex a_;
   Mutex b_;
-  int n_ = 0;
+  int n_ JISC_GUARDED_BY(a_) = 0;
 };
 
 }  // namespace fix

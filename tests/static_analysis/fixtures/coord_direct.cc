@@ -1,6 +1,6 @@
 // Seeded violation [coordinator-only]: a worker loop calls a
-// JISC_COORDINATOR_ONLY method directly (the case the regex lint also
-// catches — kept to pin parity).
+// JISC_COORDINATOR_ONLY method directly — the single-hop case, kept
+// alongside the transitive one in coord_transitive.cc.
 #include "fixture_support.h"
 
 namespace fix {

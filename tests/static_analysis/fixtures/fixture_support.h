@@ -15,6 +15,8 @@
 #define JISC_COORDINATOR_ONLY __attribute__((annotate("jisc_coordinator_only")))
 #define JISC_CHECK(cond) \
   if (!(cond)) ::abort(); else (void)0
+#define JISC_GUARDED_BY(x)
+#define JISC_PT_GUARDED_BY(x)
 
 namespace fix {
 

@@ -22,7 +22,7 @@ class LockCyclePair {
  private:
   Mutex a_;
   Mutex b_;
-  int n_ = 0;
+  int n_ JISC_GUARDED_BY(a_) = 0;
 };
 
 }  // namespace fix

@@ -30,8 +30,8 @@ class LockCycleInterproc {
 
   Mutex p_;
   Mutex q_;
-  int np_ = 0;
-  int nq_ = 0;
+  int np_ JISC_GUARDED_BY(p_) = 0;
+  int nq_ JISC_GUARDED_BY(q_) = 0;
 };
 
 }  // namespace fix

@@ -4,11 +4,17 @@ Checks (see DESIGN.md "Analysis contracts"):
   determinism           no wall-clock / PRNG / unordered-iteration on paths
                         reaching deterministic serialization roots
   coordinator-only      no worker-reachable path into JISC_COORDINATOR_ONLY
-                        symbols (transitive; supersedes the regex lint)
+                        symbols (transitive)
   obs-null-discipline   every Observability*/TelemetryRegistry* deref is
                         dominated by a null check
   lock-order            the static jisc::MutexLock acquisition graph is
                         acyclic
+  naked-thread          std::thread only in the parallel engine (the
+                        allowlist in tools/analysis_waivers.json)
+  unguarded-mutex       a class with a Mutex names >= 1 JISC_GUARDED_BY /
+                        JISC_PT_GUARDED_BY field; no raw std::mutex members
+  header-hygiene        src/ headers: JISC_<PATH>_H_ guard, no #pragma once,
+                        a direct #include for every std symbol used
 
 Usage:
   python3 tools/jisc_verify [paths...]          # default: src/
@@ -146,7 +152,11 @@ def main(argv=None):
         note("jisc-verify: no .h/.cc files found")
         return 2
 
-    config = waivers_mod.load_config(REPO_ROOT, args.config)
+    try:
+        config = waivers_mod.load_config(REPO_ROOT, args.config)
+    except waivers_mod.ConfigError as e:
+        note(f"jisc-verify: {e}")
+        return 2
     waivers = waivers_mod.Waivers(config, REPO_ROOT)
     model = build_model(files)
     findings, waived = checks_mod.run_checks(

@@ -1,15 +1,21 @@
-"""The four jisc-verify contract checks, run over a srcmodel.Model.
+"""The jisc-verify contract checks, run over a srcmodel.Model.
 
-Each check returns a list of Finding.  Findings are normalized for golden
-comparison as (check, relpath, line, symbol); the message carries the
-human explanation (and call chains where relevant).
+Four call-graph checks read the model's functions; three text checks
+(naked-thread, unguarded-mutex, header-hygiene) read only model.files, so
+both frontends give them identical findings.  Each check returns a list
+of Finding.  Findings are normalized for golden comparison as (check,
+relpath, line, symbol); the message carries the human explanation (and
+call chains where relevant).
 """
 
 import os
+import re
 from dataclasses import dataclass, field
 
+import srcmodel
+
 CHECKS = ("determinism", "coordinator-only", "obs-null-discipline",
-          "lock-order")
+          "lock-order", "naked-thread", "unguarded-mutex", "header-hygiene")
 
 
 @dataclass
@@ -142,8 +148,7 @@ def check_coordinator_only(model, repo_root):
     """Any function transitively reachable from a worker-loop root that
     calls a JISC_COORDINATOR_ONLY symbol.  Only unqualified / this-> /
     scope-qualified calls are followed (a receiver-qualified call targets
-    another object, which is the coordinator's business to mediate —
-    matching the regex lint's contract, but now transitive)."""
+    another object, which is the coordinator's business to mediate)."""
     index = _by_name(model)
     roots = [fn for fn in model.functions if fn.worker_entry]
 
@@ -287,6 +292,132 @@ def check_lock_order(model, repo_root, follow_receivers=False):
 
 
 # ---------------------------------------------------------------------------
+# 5. naked-thread
+# ---------------------------------------------------------------------------
+
+def check_naked_thread(model, repo_root, allowlist):
+    """std::thread only inside the parallel engine (the allowlist): every
+    other src/ file must route its work through ParallelExecutor."""
+    findings = []
+    for path, text in model.files.items():
+        rel = _rel(path, repo_root)
+        if not rel.startswith("src/") or rel in allowlist:
+            continue
+        code = srcmodel.strip_comments(text)
+        for m in re.finditer(r"\bstd::thread\b", code):
+            findings.append(Finding(
+                check="naked-thread", file=rel,
+                line=srcmodel.line_of(code, m.start()), symbol="std::thread",
+                message="std::thread outside the parallel engine — route "
+                        "work through ParallelExecutor (or waive with a "
+                        "reason)"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# 6. unguarded-mutex
+# ---------------------------------------------------------------------------
+
+_MUTEX_MEMBER_RE = re.compile(
+    r"^\s*(?P<decl>(?:mutable\s+)?(?:jisc::)?(?P<type>Mutex|std::mutex)\s+"
+    r"(?P<name>[A-Za-z_]\w*)\s*[;{=])", re.M)
+_GUARDED_BY_RE = re.compile(r"\bJISC_(?:PT_)?GUARDED_BY\s*\(")
+
+
+def check_unguarded_mutex(model, repo_root):
+    """A class holding a Mutex must mark at least one field
+    JISC_GUARDED_BY / JISC_PT_GUARDED_BY; a raw std::mutex member is always
+    rejected, since -Wthread-safety cannot see through it."""
+    findings = []
+    for path, text in model.files.items():
+        code = srcmodel.strip_comments(text)
+        for cls, open_pos, _, body in srcmodel._class_regions(code):
+            for m in _MUTEX_MEMBER_RE.finditer(body):
+                if m.group("type") == "std::mutex":
+                    message = (f"class {cls}: raw std::mutex member — use "
+                               f"jisc::Mutex so -Wthread-safety can track it")
+                elif _GUARDED_BY_RE.search(body):
+                    continue
+                else:
+                    message = (f"class {cls} holds a Mutex but no field is "
+                               f"JISC_GUARDED_BY it — annotate the protected "
+                               f"state or waive with a reason")
+                findings.append(Finding(
+                    check="unguarded-mutex", file=_rel(path, repo_root),
+                    line=srcmodel.line_of(code, open_pos + m.start("decl")),
+                    symbol=f"{cls}::{m.group('name')}", message=message))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# 7. header-hygiene
+# ---------------------------------------------------------------------------
+
+# std symbol -> the header a src/ header must include directly to use it.
+# Deliberately high-precision: each pattern matches only an unambiguous use.
+STD_SYMBOLS = [
+    (r"\bstd::string\b", "<string>"),
+    (r"\bstd::vector<", "<vector>"),
+    (r"\bstd::deque<", "<deque>"),
+    (r"\bstd::map<", "<map>"),
+    (r"\bstd::unordered_map<", "<unordered_map>"),
+    (r"\bstd::unordered_set<", "<unordered_set>"),
+    (r"\bstd::(?:unique_ptr|shared_ptr|make_unique|make_shared|weak_ptr)\b",
+     "<memory>"),
+    (r"\bstd::(?:move|forward|pair|make_pair|swap|exchange)\b", "<utility>"),
+    (r"\bstd::function<", "<functional>"),
+    (r"\bstd::atomic\b", "<atomic>"),
+    (r"\bstd::optional<", "<optional>"),
+    (r"\bstd::ostream\b", "<ostream>"),
+    (r"\bstd::(?:ostringstream|istringstream|stringstream)\b", "<sstream>"),
+    (r"\bstd::chrono\b", "<chrono>"),
+    (r"\bstd::thread\b", "<thread>"),
+    (r"\bstd::mutex\b", "<mutex>"),
+    (r"\bstd::condition_variable\b", "<condition_variable>"),
+    (r"\b(?:u?int(?:8|16|32|64)_t)\b", "<cstdint>"),
+    (r"\bsize_t\b", "<cstddef>"),
+]
+
+
+def check_header_hygiene(model, repo_root):
+    """src/ headers stand alone: the canonical JISC_<PATH>_H_ include guard
+    (no #pragma once) and a direct #include for every std symbol used."""
+    findings = []
+
+    def add(rel, line, symbol, message):
+        findings.append(Finding(check="header-hygiene", file=rel, line=line,
+                                symbol=symbol, message=message))
+
+    for path, text in model.files.items():
+        rel = _rel(path, repo_root)
+        if not (rel.startswith("src/") and rel.endswith(".h")):
+            continue
+        code = srcmodel.strip_comments(text)
+        pragma = re.search(r"^\s*(#\s*pragma\s+once)", code, re.M)
+        if pragma:
+            add(rel, srcmodel.line_of(code, pragma.start(1)), "#pragma once",
+                "#pragma once — use the canonical include guard")
+        want = "JISC_" + re.sub(r"[/.]", "_", rel[len("src/"):]).upper() + "_"
+        guard = re.search(r"^\s*#\s*ifndef\s+(\S+)", code, re.M)
+        if guard is None or guard.group(1) != want:
+            have = guard.group(1) if guard else "none"
+            add(rel, 1, want, f"include guard must be {want} (found {have})")
+        includes = set(re.findall(r'#\s*include\s+(<[^>]+>|"[^"]+")', text))
+        missing = {}
+        for pattern, header in STD_SYMBOLS:
+            if header in includes:
+                continue
+            m = re.search(pattern, code)
+            if m:
+                missing.setdefault(header, srcmodel.line_of(code, m.start()))
+        for header, line in sorted(missing.items()):
+            add(rel, line, header,
+                f"uses a symbol from {header} without including it directly "
+                f"(headers must stand alone)")
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -305,6 +436,13 @@ def run_checks(model, repo_root, waivers, selected=None,
     if "lock-order" in selected:
         raw += check_lock_order(model, repo_root,
                                 follow_receivers=follow_receivers)
+    if "naked-thread" in selected:
+        raw += check_naked_thread(model, repo_root,
+                                  waivers.naked_thread_allowlist)
+    if "unguarded-mutex" in selected:
+        raw += check_unguarded_mutex(model, repo_root)
+    if "header-hygiene" in selected:
+        raw += check_header_hygiene(model, repo_root)
 
     findings, waived = [], []
     abs_files = {path: text for path, text in model.files.items()}

@@ -1,12 +1,13 @@
 """Self-test: run the checks over the seeded-violation fixture corpus and
 compare against the golden findings file.
 
-The corpus (tests/static_analysis/fixtures/) seeds violations of all four
-checks plus clean near-miss fixtures that must stay silent.  The golden
-file pins (check, file, line, symbol) exactly — any drift in either
-direction (missed seeded violation, or a new false positive on a clean
-fixture) fails.  `--update-golden` rewrites the file after intentional
-check changes; review the diff.
+The corpus (tests/static_analysis/fixtures/) seeds violations of every
+check plus clean near-miss fixtures that must stay silent; paths are
+relative to the corpus root, so fixtures for the src/-scoped checks live
+under its src/ subdirectory.  The golden file pins (check, file, line,
+symbol) exactly — any drift in either direction (missed seeded violation,
+or a new false positive on a clean fixture) fails.  `--update-golden`
+rewrites the file after intentional check changes; review the diff.
 """
 
 import json

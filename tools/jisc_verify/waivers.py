@@ -2,18 +2,19 @@
 
 Two layers, both counted and reported so waived findings stay visible:
 
-  * Per-site comment waivers, the analog of lint_contracts.py's idiom:
+  * Per-site comment waivers:
 
         // jisc-verify: allow(<check>) — <reason>
 
-    A waiver covers its own line and the next code line, mirroring the
-    lint tool.  The separator may be an em-dash, a hyphen, or a colon; a
-    non-empty reason is required (a bare allow() is itself a finding).
+    A waiver covers its own line and the next code line.  The separator
+    may be an em-dash, a hyphen, or a colon; a non-empty reason is
+    required (a bare allow() is itself a finding).
 
-  * File-level waivers from tools/analysis_waivers.json (shared with
-    lint_contracts.py): entries of {"path", "checks", "reason"} suppress a
-    whole file for the named checks — used where a class invariant makes
-    per-site guards redundant (e.g. a constructor JISC_CHECK).
+  * File-level waivers from tools/analysis_waivers.json: entries of
+    {"path", "checks", "reason"} suppress a whole file for the named
+    checks — used where a class invariant makes per-site guards redundant
+    (e.g. a constructor JISC_CHECK).  The same file holds the determinism
+    roots and the naked-thread check's std::thread allowlist.
 """
 
 import json
@@ -73,9 +74,26 @@ class Waivers:
         return (check, line) in self._site_waivers(path, text)
 
 
+class ConfigError(Exception):
+    """The waiver config cannot be used (a usage error: exit 2)."""
+
+
 def load_config(repo_root, explicit_path=None):
+    """The waiver config as a dict.  A missing default file is an empty
+    config; an explicit path that does not exist, or a file that is not a
+    JSON object, raises ConfigError."""
     path = explicit_path or os.path.join(repo_root, "tools", CONFIG_BASENAME)
-    if not os.path.exists(path):
+    if explicit_path is None and not os.path.exists(path):
         return {}
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            config = json.load(f)
+    except OSError as e:
+        raise ConfigError(f"cannot read waiver config {path}: "
+                          f"{e.strerror}") from e
+    except ValueError as e:
+        raise ConfigError(f"waiver config {path} is not valid JSON: "
+                          f"{e}") from e
+    if not isinstance(config, dict):
+        raise ConfigError(f"waiver config {path} is not a JSON object")
+    return config
