@@ -42,14 +42,15 @@ void RunNormal(benchmark::State& state, ProcessorKind kind) {
     SyntheticSource src(cfg);
     std::unique_ptr<Observability> obs;
     std::unique_ptr<TelemetrySampler> sampler;
+    ProcessorConfig config;
     if (telemetry_ms > 0) {
       Observability::Options oopts;
       oopts.telemetry = true;
       obs = std::make_unique<Observability>(oopts);
+      config.obs = obs.get();
     }
-    BuiltProcessor built =
-        MakeProcessor(kind, plan, WindowSpec::Uniform(streams, window),
-                      ThetaSpec(), /*parallelism=*/1, obs.get());
+    BuiltProcessor built = MakeProcessor(
+        kind, plan, WindowSpec::Uniform(streams, window), config);
     if (obs != nullptr) {
       TelemetrySampler::Options topts;
       topts.period_ms = telemetry_ms;

@@ -35,9 +35,10 @@ void RunLatency(benchmark::State& state, ProcessorKind kind, OpKind join) {
     // bench the paper's Fig. 10 output-delay claims rest on, so it carries
     // the full observability bundle and exports the trace (JISC_OBS_DIR).
     Observability obs;
+    ProcessorConfig config;
+    config.obs = &obs;
     BuiltProcessor built = MakeProcessor(
-        kind, plan, WindowSpec::Uniform(kStreams, window), ThetaSpec(),
-        /*parallelism=*/1, &obs);
+        kind, plan, WindowSpec::Uniform(kStreams, window), config);
     WarmUp(built.processor.get(), &src, kStreams, window);
     // The steady-state warm-up delays would drown the migration-stage tail.
     obs.output_delay_ns.Reset();
@@ -108,7 +109,8 @@ void RunFluidContrast(benchmark::State& state, ProcessorKind kind,
     // post-transition batch (the halt). The scenario pack uses denser
     // fluid batches; this bench picks the latency-optimal corner of the
     // same knob space.
-    FluidOptions fluid;
+    ProcessorConfig config;
+    FluidOptions& fluid = config.fluid;
     fluid.mode = FluidOptions::Mode::kFluid;
     if (fluid_mode) {
       fluid.batch_keys = 1;
@@ -129,9 +131,7 @@ void RunFluidContrast(benchmark::State& state, ProcessorKind kind,
     SourceConfig calib_cfg = cfg;
     SyntheticSource calib_src(calib_cfg);
     BuiltProcessor calib = MakeProcessor(
-        kind, next, WindowSpec::Uniform(kStreams, window), ThetaSpec(),
-        /*parallelism=*/1, /*obs=*/nullptr, ParallelExecutor::Options(),
-        IngressGuard::Options(), fluid);
+        kind, next, WindowSpec::Uniform(kStreams, window), config);
     WarmUp(calib.processor.get(), &calib_src, kStreams, window);
     WallTimer calib_timer;
     for (size_t i = 0; i < measured; ++i) {
@@ -154,9 +154,7 @@ void RunFluidContrast(benchmark::State& state, ProcessorKind kind,
     for (int trial = 0; trial < kTrials; ++trial) {
       SyntheticSource trial_src(cfg);
       BuiltProcessor built = MakeProcessor(
-          kind, plan, WindowSpec::Uniform(kStreams, window), ThetaSpec(),
-          /*parallelism=*/1, /*obs=*/nullptr, ParallelExecutor::Options(),
-          IngressGuard::Options(), fluid);
+          kind, plan, WindowSpec::Uniform(kStreams, window), config);
       WarmUp(built.processor.get(), &trial_src, kStreams, window);
       Histogram delay_ns;
       WallTimer ingest;

@@ -55,10 +55,11 @@ void RunScaling(benchmark::State& state, ScalingConfig cfg) {
     src_cfg.key_domain = DomainFor(window);
     src_cfg.seed = 7;
     SyntheticSource src(src_cfg);
-    BuiltProcessor built =
-        MakeProcessor(ProcessorKind::kJisc, plan,
-                      WindowSpec::Uniform(streams, window), ThetaSpec(),
-                      cfg.shards);
+    ProcessorConfig config;
+    config.parallelism = cfg.shards;
+    BuiltProcessor built = MakeProcessor(
+        ProcessorKind::kJisc, plan, WindowSpec::Uniform(streams, window),
+        config);
     // Warm the windows outside the timed region.
     size_t warm = static_cast<size_t>(streams) * window;
     for (size_t i = 0; i < warm; ++i) built.processor->Push(src.Next());

@@ -82,7 +82,8 @@ StatusOr<std::string> CheckpointEngine(Engine& engine) {
 
 StatusOr<std::unique_ptr<Engine>> RestoreEngine(
     const std::string& bytes, Sink* sink,
-    std::unique_ptr<MigrationStrategy> strategy, Engine::Options options) {
+    std::unique_ptr<MigrationStrategy> strategy,
+    const ProcessorConfig& config) {
   ByteReader r(bytes);
   uint64_t magic = 0;
   Status s = r.GetU64(&magic);
@@ -218,9 +219,9 @@ StatusOr<std::unique_ptr<Engine>> RestoreEngine(
   }
 
   auto engine = std::make_unique<Engine>(plan.value(), windows, sink,
-                                         std::move(strategy), options);
+                                         std::move(strategy), config);
   auto exec = std::make_unique<PipelineExecutor>(plan.value(), windows,
-                                                 options.exec, &pool);
+                                                 config.exec, &pool);
   engine->ReplaceExecutor(std::move(exec));
   engine->RestoreClocks(next_stamp, max_seq);
   if (mid_migration) {
@@ -251,7 +252,8 @@ StatusOr<std::string> CheckpointGuardedEngine(GuardedProcessor& guarded) {
 
 StatusOr<std::unique_ptr<GuardedProcessor>> RestoreGuardedEngine(
     const std::string& bytes, Sink* sink,
-    std::unique_ptr<MigrationStrategy> strategy, Engine::Options options) {
+    std::unique_ptr<MigrationStrategy> strategy,
+    const ProcessorConfig& config) {
   ByteReader r(bytes);
   uint64_t magic = 0;
   Status s = r.GetU64(&magic);
@@ -270,7 +272,7 @@ StatusOr<std::unique_ptr<GuardedProcessor>> RestoreGuardedEngine(
   }
 
   TelemetryRegistry* telemetry =
-      options.obs != nullptr ? options.obs->telemetry.get() : nullptr;
+      config.obs != nullptr ? config.obs->telemetry.get() : nullptr;
   ByteReader guard_reader(guard_bytes);
   auto guard = IngressGuard::DeserializeCanonical(&guard_reader, telemetry,
                                                   /*track=*/0);
@@ -279,8 +281,7 @@ StatusOr<std::unique_ptr<GuardedProcessor>> RestoreGuardedEngine(
     return Status::InvalidArgument("trailing bytes after guard state");
   }
 
-  auto engine = RestoreEngine(engine_bytes, sink, std::move(strategy),
-                              options);
+  auto engine = RestoreEngine(engine_bytes, sink, std::move(strategy), config);
   if (!engine.ok()) return engine.status();
   return std::make_unique<GuardedProcessor>(std::move(engine).value(),
                                             std::move(guard).value());

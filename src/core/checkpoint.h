@@ -20,14 +20,14 @@ namespace jisc {
 // empty by construction and need not be captured.
 StatusOr<std::string> CheckpointEngine(Engine& engine);
 
-// Rebuilds an engine from a checkpoint. `sink`, `strategy` and `options`
-// are supplied fresh (they are behaviour, not state); `options.exec` must
+// Rebuilds an engine from a checkpoint. `sink`, `strategy` and `config`
+// are supplied fresh (they are behaviour, not state); `config.exec` must
 // match the checkpointed query's predicate configuration. Metrics restart
 // from zero.
 StatusOr<std::unique_ptr<Engine>> RestoreEngine(
     const std::string& bytes, Sink* sink,
     std::unique_ptr<MigrationStrategy> strategy,
-    Engine::Options options = Engine::Options());
+    const ProcessorConfig& config = ProcessorConfig());
 
 // Checkpoint of an ingress-guarded engine (exec/ingress_guard.h): the
 // guard's canonical bytes (dedup windows, reorder buffer, clock, stats)
@@ -40,12 +40,13 @@ StatusOr<std::string> CheckpointGuardedEngine(GuardedProcessor& guarded);
 
 // Rebuilds the guarded engine: the guard resumes with its buffered tuples
 // and dedup history intact, the engine exactly as RestoreEngine would.
-// The restored guard's telemetry hookup follows options.obs (nullptr or
-// telemetry-off = no gauge writes), on the coordinator track.
+// The restored guard's telemetry hookup follows config.obs (nullptr or
+// telemetry-off = no gauge writes), on the coordinator track; the guard's
+// own settings come from the bytes, not from config.ingress.
 StatusOr<std::unique_ptr<GuardedProcessor>> RestoreGuardedEngine(
     const std::string& bytes, Sink* sink,
     std::unique_ptr<MigrationStrategy> strategy,
-    Engine::Options options = Engine::Options());
+    const ProcessorConfig& config = ProcessorConfig());
 
 }  // namespace jisc
 

@@ -14,56 +14,53 @@ namespace {
 // The telemetry registry when both observability and its telemetry option
 // are on; nullptr otherwise, so every gauge site below stays one pointer
 // test on the disabled path.
-inline TelemetryRegistry* TelemetryOf(const Engine::Options& options) {
-  return options.obs != nullptr ? options.obs->telemetry.get() : nullptr;
+inline TelemetryRegistry* TelemetryOf(const ProcessorConfig& config) {
+  return config.obs != nullptr ? config.obs->telemetry.get() : nullptr;
 }
 
 }  // namespace
 
 Engine::Engine(const LogicalPlan& plan, const WindowSpec& windows, Sink* sink,
-               std::unique_ptr<MigrationStrategy> strategy)
-    : Engine(plan, windows, sink, std::move(strategy), Options()) {}
-
-Engine::Engine(const LogicalPlan& plan, const WindowSpec& windows, Sink* sink,
-               std::unique_ptr<MigrationStrategy> strategy, Options options)
+               std::unique_ptr<MigrationStrategy> strategy,
+               const ProcessorConfig& config)
     : windows_(windows),
-      options_(options),
+      config_(config),
       sink_(sink),
       strategy_(std::move(strategy)),
       freshness_(windows.num_streams()) {
   JISC_CHECK(strategy_ != nullptr);
   JISC_CHECK(plan.streams().size() <= windows_.num_streams());
-  exec_ = std::make_unique<PipelineExecutor>(plan, windows_, options_.exec);
+  exec_ = std::make_unique<PipelineExecutor>(plan, windows_, config_.exec);
   WireExecutor();
 }
 
 uint64_t Engine::StateMemory() const { return StateMemoryBytes(*exec_); }
 
 void Engine::WireExecutor() {
-  if (options_.obs != nullptr) {
-    obs_sink_.Wire(sink_, options_.obs);
+  if (config_.obs != nullptr) {
+    obs_sink_.Wire(sink_, config_.obs);
     exec_->SetSink(&obs_sink_);
-    exec_->SetObservability(options_.obs, options_.obs_track);
-    if (TelemetryRegistry* telemetry = TelemetryOf(options_)) {
-      telemetry->RegisterTracks(options_.obs_track + 1);
+    exec_->SetObservability(config_.obs, config_.obs_track);
+    if (TelemetryRegistry* telemetry = TelemetryOf(config_)) {
+      telemetry->RegisterTracks(config_.obs_track + 1);
     }
   } else {
     exec_->SetSink(sink_);
   }
   exec_->SetMetrics(&metrics_);
-  exec_->SetFreshness(options_.track_freshness ? &freshness_ : nullptr);
+  exec_->SetFreshness(config_.track_freshness ? &freshness_ : nullptr);
   exec_->SetCompletionHandler(strategy_->handler());
 }
 
 void Engine::Push(const BaseTuple& tuple) {
   if (!buffer_.empty()) Drain();
-  if (TelemetryRegistry* telemetry = TelemetryOf(options_)) {
+  if (TelemetryRegistry* telemetry = TelemetryOf(config_)) {
     // The coordinator owns the input gauges; a shard engine's arrivals were
     // already counted by the ParallelExecutor front-end that routed them.
-    if (options_.obs_track == 0) telemetry->OnInput(tuple.seq);
+    if (config_.obs_track == 0) telemetry->OnInput(tuple.seq);
   }
   Admit(tuple);
-  if (++events_since_maintain_ >= options_.maintain_period) {
+  if (++events_since_maintain_ >= config_.maintain_period) {
     events_since_maintain_ = 0;
     strategy_->Maintain(this);
     RefreshStateMemoryGauge();
@@ -71,7 +68,7 @@ void Engine::Push(const BaseTuple& tuple) {
 }
 
 void Engine::BeginObsEvent() {
-  if (options_.obs == nullptr) return;
+  if (config_.obs == nullptr) return;
   if (pending_transition_ns_ != 0) {
     obs_sink_.BeginEventAt(pending_transition_ns_);
     pending_transition_ns_ = 0;
@@ -81,13 +78,13 @@ void Engine::BeginObsEvent() {
 }
 
 void Engine::MaybeRunFluidBatch(Stamp stamp) {
-  if (!options_.fluid.IsFluid()) return;
-  if (++events_since_fluid_ < options_.fluid.batch_period) return;
+  if (!config_.fluid.IsFluid()) return;
+  if (++events_since_fluid_ < config_.fluid.batch_period) return;
   events_since_fluid_ = 0;
   if (strategy_->FluidBacklog() == 0) return;
   strategy_->RunFluidBatch(this, stamp);
-  if (TelemetryRegistry* telemetry = TelemetryOf(options_)) {
-    telemetry->SetMigrationBacklog(options_.obs_track,
+  if (TelemetryRegistry* telemetry = TelemetryOf(config_)) {
+    telemetry->SetMigrationBacklog(config_.obs_track,
                                    strategy_->FluidBacklog());
   }
 }
@@ -100,8 +97,8 @@ void Engine::Admit(const BaseTuple& tuple) {
   strategy_->OnArrival(this, tuple, stamp);
   exec_->PushArrival(tuple, stamp);
   exec_->RunUntilIdle();
-  if (TelemetryRegistry* telemetry = TelemetryOf(options_)) {
-    telemetry->OnEventProcessed(options_.obs_track, tuple.seq);
+  if (TelemetryRegistry* telemetry = TelemetryOf(config_)) {
+    telemetry->OnEventProcessed(config_.obs_track, tuple.seq);
   }
 }
 
@@ -116,12 +113,12 @@ void Engine::PushExpiry(const BaseTuple& tuple) {
   MaybeRunFluidBatch(stamp);
   exec_->PushExpiry(tuple, stamp);
   exec_->RunUntilIdle();
-  if (TelemetryRegistry* telemetry = TelemetryOf(options_)) {
+  if (TelemetryRegistry* telemetry = TelemetryOf(config_)) {
     // Expiries count as progress: an expiry-heavy shard is busy, not
     // stalled, and must not trip the stall watchdog.
-    telemetry->OnEventProcessed(options_.obs_track, tuple.seq);
+    telemetry->OnEventProcessed(config_.obs_track, tuple.seq);
   }
-  if (++events_since_maintain_ >= options_.maintain_period) {
+  if (++events_since_maintain_ >= config_.maintain_period) {
     events_since_maintain_ = 0;
     strategy_->Maintain(this);
     RefreshStateMemoryGauge();
@@ -129,15 +126,15 @@ void Engine::PushExpiry(const BaseTuple& tuple) {
 }
 
 void Engine::RefreshStateMemoryGauge() {
-  if (TelemetryRegistry* telemetry = TelemetryOf(options_)) {
-    telemetry->SetStateMemoryBytes(options_.obs_track,
+  if (TelemetryRegistry* telemetry = TelemetryOf(config_)) {
+    telemetry->SetStateMemoryBytes(config_.obs_track,
                                    ApproxStateMemoryBytes(*exec_));
   }
 }
 
 void Engine::PushNoDrain(const BaseTuple& tuple) {
-  if (options_.max_buffered_arrivals > 0 &&
-      buffer_.size() >= options_.max_buffered_arrivals) {
+  if (config_.max_buffered_arrivals > 0 &&
+      buffer_.size() >= config_.max_buffered_arrivals) {
     ++shed_tuples_;  // drop-newest load shedding
     return;
   }
@@ -161,13 +158,13 @@ Status Engine::RequestTransition(const LogicalPlan& new_plan) {
   }
   // Section 4.1 (safe plan transition): all tuples received before the
   // transition are processed through the old plan first (buffer clearing).
-  Observability* obs = options_.obs;
+  Observability* obs = config_.obs;
   TraceScope transition(obs ? &obs->trace : nullptr, "transition",
-                        "migration", options_.obs_track);
+                        "migration", config_.obs_track);
   transition.SetArg("buffered", buffer_.size());
   {
     TraceScope drain(obs ? &obs->trace : nullptr, "drain", "migration",
-                     options_.obs_track);
+                     config_.obs_track);
     Drain();
   }
   freshness_.BumpGeneration();
@@ -178,8 +175,8 @@ Status Engine::RequestTransition(const LogicalPlan& new_plan) {
   Status s = strategy_->Migrate(this, new_plan);
   if (!s.ok()) return s;
   if (obs != nullptr) pending_transition_ns_ = t_request;
-  if (TelemetryRegistry* telemetry = TelemetryOf(options_)) {
-    telemetry->SetMigrationBacklog(options_.obs_track,
+  if (TelemetryRegistry* telemetry = TelemetryOf(config_)) {
+    telemetry->SetMigrationBacklog(config_.obs_track,
                                    strategy_->FluidBacklog());
   }
   // The strategy installed the successor executor via ReplaceExecutor.

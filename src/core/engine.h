@@ -9,7 +9,7 @@
 
 #include "core/freshness_tracker.h"
 #include "core/migration_strategy.h"
-#include "exec/ingress_guard.h"
+#include "core/processor_config.h"
 #include "exec/pipeline_executor.h"
 #include "exec/stream_processor.h"
 
@@ -26,51 +26,12 @@ namespace jisc {
 // Section 4.1 queue-clearing phase explicitly.
 class Engine : public StreamProcessor {
  public:
-  struct Options {
-    PipelineExecutor::Options exec;
-    // Events between strategy Maintain() sweeps (completion detection).
-    uint64_t maintain_period = 256;
-    // Track Definition-2 freshness per arrival. Disabling it yields the
-    // plain symmetric-hash-join pipeline the paper compares against in
-    // Fig. 9a (transitions then require a strategy that does not rely on
-    // freshness, e.g. Moving State).
-    bool track_freshness = true;
-    // Load shedding (Section 2.1 treats it as orthogonal; this is the
-    // standard drop-newest policy): when the buffered-arrival queue exceeds
-    // this bound, PushNoDrain drops the arrival and counts it. 0 = never.
-    size_t max_buffered_arrivals = 0;
-    // Number of hash-partitioned worker shards. The Engine itself is always
-    // single-threaded; MakeEngineProcessor (core/parallel_engine.h) reads
-    // this knob and routes through the sharded ParallelExecutor when it is
-    // greater than one, with single-shard engines as the building block and
-    // the single-threaded path (parallelism <= 1) as the default and the
-    // equivalence oracle.
-    int parallelism = 1;
-    // Observability bundle (latency histograms + migration trace). nullptr
-    // (the default) keeps every clock read and histogram update out of the
-    // hot path; see obs/observability.h. obs_track labels this engine's
-    // trace spans (0 = single-threaded/coordinator, shard + 1 for shard
-    // engines under the parallel executor).
-    Observability* obs = nullptr;
-    int obs_track = 0;
-    // Opt-in ingress resilience stage (exec/ingress_guard.h): when enabled,
-    // MakeEngineProcessor wraps the built processor in a GuardedProcessor
-    // that dedups and re-orders the feed before admission. Disabled (the
-    // default) adds no wrapper and no branch — the Engine itself never
-    // reads this field.
-    IngressGuard::Options ingress;
-    // Fluid migration (core/migration_strategy.h): when IsFluid() and the
-    // installed strategy reports a post-transition backlog, the engine runs
-    // one bounded completion batch between events (inside Admit, before the
-    // arrival is processed, so the batch cost lands in that event's output
-    // delay). All-at-once (the default) never takes the branch.
-    FluidOptions fluid;
-  };
+  // Kept as a name for the config: the benchmark under jiscperf/ spells it.
+  using Options = ProcessorConfig;
 
   Engine(const LogicalPlan& plan, const WindowSpec& windows, Sink* sink,
-         std::unique_ptr<MigrationStrategy> strategy, Options options);
-  Engine(const LogicalPlan& plan, const WindowSpec& windows, Sink* sink,
-         std::unique_ptr<MigrationStrategy> strategy);
+         std::unique_ptr<MigrationStrategy> strategy,
+         const ProcessorConfig& config = ProcessorConfig());
 
   // --- StreamProcessor ---
   std::string name() const override { return strategy_->name(); }
@@ -94,14 +55,10 @@ class Engine : public StreamProcessor {
   PipelineExecutor& executor() { return *exec_; }
   const LogicalPlan& plan() const { return exec_->plan(); }
   const WindowSpec& windows() const { return windows_; }
-  const PipelineExecutor::Options& exec_options() const {
-    return options_.exec;
-  }
+  const ProcessorConfig& config() const { return config_; }
   Metrics& mutable_metrics() { return metrics_; }
   FreshnessTracker& freshness() { return freshness_; }
   MigrationStrategy& strategy() { return *strategy_; }
-  Observability* obs() { return options_.obs; }
-  int obs_track() const { return options_.obs_track; }
   // The user-facing sink (never the internal OutputDelaySink wrapper).
   Sink* sink() { return sink_; }
   Seq max_seq_seen() const { return max_seq_seen_; }
@@ -131,8 +88,10 @@ class Engine : public StreamProcessor {
   // after a transition is backdated to the transition request, charging the
   // stall to its outputs.
   void BeginObsEvent();
-  // Runs one fluid completion batch if due (options_.fluid cadence) and the
-  // strategy has backlog; refreshes the migration-backlog gauge.
+  // Runs one fluid completion batch if due (config_.fluid cadence) and the
+  // strategy has backlog; refreshes the migration-backlog gauge. Called
+  // before the event is processed, so the batch cost lands in that event's
+  // output delay.
   void MaybeRunFluidBatch(Stamp stamp);
   // Updates this track's telemetry state-memory gauge (no-op when telemetry
   // is off). Called on the maintain cadence, not per event: the estimate is
@@ -140,9 +99,9 @@ class Engine : public StreamProcessor {
   void RefreshStateMemoryGauge();
 
   WindowSpec windows_;
-  Options options_;
+  ProcessorConfig config_;
   Sink* sink_;
-  // Interposed between the executor and sink_ when options_.obs is set:
+  // Interposed between the executor and sink_ when config_.obs is set:
   // stamps each output with its delay since event admission.
   OutputDelaySink obs_sink_;
   std::unique_ptr<MigrationStrategy> strategy_;

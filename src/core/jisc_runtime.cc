@@ -28,9 +28,9 @@ Stamp JiscRuntime::SinceStampFor(const Operator* op) const {
 
 Status JiscRuntime::Migrate(Engine* engine, const LogicalPlan& new_plan) {
   engine_ = engine;
-  Observability* obs = engine->obs();
+  Observability* obs = engine->config().obs;
   TraceRecorder* rec = obs != nullptr ? &obs->trace : nullptr;
-  int track = engine->obs_track();
+  int track = engine->config().obs_track;
   PipelineExecutor& old_exec = engine->executor();
 
   // Definition 1 refined by Section 4.5: completeness in the new plan
@@ -61,7 +61,7 @@ Status JiscRuntime::Migrate(Engine* engine, const LogicalPlan& new_plan) {
   TraceScope carryover(rec, "state-carryover", "migration", track);
   StatePool pool = old_exec.TakeAllStates();
   auto new_exec = std::make_unique<PipelineExecutor>(
-      new_plan, engine->windows(), engine->exec_options(), &pool);
+      new_plan, engine->windows(), engine->config().exec, &pool);
   // Remaining pool entries are the old plan's discarded states; they die
   // with `pool` here (Section 4.1).
 

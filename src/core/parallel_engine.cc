@@ -9,40 +9,37 @@ namespace jisc {
 
 std::unique_ptr<StreamProcessor> MakeEngineProcessor(
     const LogicalPlan& plan, const WindowSpec& windows, Sink* sink,
-    StrategyFactory strategy_factory, Engine::Options options,
-    ParallelExecutor::Options parallel_options) {
+    StrategyFactory strategy_factory, const ProcessorConfig& config) {
   JISC_CHECK(strategy_factory != nullptr);
-  if (options.parallelism <= 1) {
+  if (config.parallelism <= 1) {
     auto engine = std::make_unique<Engine>(plan, windows, sink,
-                                           strategy_factory(), options);
-    return MaybeGuardProcessor(std::move(engine), options.ingress,
-                               windows.num_streams(), options.obs);
+                                           strategy_factory(), config);
+    return MaybeGuardProcessor(std::move(engine), config.ingress,
+                               windows.num_streams(), config.obs);
   }
-  parallel_options.num_shards = options.parallelism;
-  parallel_options.obs = options.obs;
-  Engine::Options shard_options = options;
-  shard_options.parallelism = 1;
-  shard_options.exec.external_expiry = true;
-  // The guard runs once, on the coordinator side, in front of the whole
-  // executor: shard engines see an already-cleaned feed.
-  shard_options.ingress = IngressGuard::Options();
+  ProcessorConfig shard_config = config;
+  shard_config.parallelism = 1;
+  shard_config.exec.external_expiry = true;
   ParallelExecutor::ShardFactory shard_factory =
-      [plan, windows, shard_options,
+      [plan, windows, shard_config,
        strategy_factory = std::move(strategy_factory)](Sink* shard_sink,
                                                        int shard) {
         // Shards share one Observability bundle (lock-free histograms,
         // mutex-guarded trace ring); each labels its spans with its own
         // track so the exported trace shows per-shard timelines. Track 0
         // stays the coordinator's.
-        Engine::Options opts = shard_options;
-        if (opts.obs != nullptr) opts.obs_track = shard + 1;
+        ProcessorConfig engine_config = shard_config;
+        if (engine_config.obs != nullptr) engine_config.obs_track = shard + 1;
         return std::make_unique<Engine>(plan, windows, shard_sink,
-                                        strategy_factory(), opts);
+                                        strategy_factory(), engine_config);
       };
   auto executor = std::make_unique<ParallelExecutor>(
-      plan, windows, sink, shard_factory, parallel_options);
-  return MaybeGuardProcessor(std::move(executor), options.ingress,
-                             windows.num_streams(), options.obs);
+      plan, windows, sink, shard_factory, config.parallelism, config.obs,
+      config.shards);
+  // The guard runs once, on the coordinator side, in front of the whole
+  // executor: shard engines see an already-cleaned feed.
+  return MaybeGuardProcessor(std::move(executor), config.ingress,
+                             windows.num_streams(), config.obs);
 }
 
 }  // namespace jisc

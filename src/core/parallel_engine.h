@@ -6,7 +6,7 @@
 
 #include "core/engine.h"
 #include "core/migration_strategy.h"
-#include "exec/parallel_executor.h"
+#include "core/processor_config.h"
 
 namespace jisc {
 
@@ -17,15 +17,16 @@ using StrategyFactory = std::function<std::unique_ptr<MigrationStrategy>()>;
 
 // The one entry point that routes between the two execution paths:
 //
-//  * options.parallelism <= 1: a plain single-threaded Engine — the default
+//  * config.parallelism <= 1: a plain single-threaded Engine — the default
 //    and the equivalence oracle;
-//  * options.parallelism  > 1: a ParallelExecutor over `parallelism`
-//    hash-partitioned shards, each an Engine in external-expiry mode with
-//    its own strategy instance, all delivering into `sink` through a
-//    serializing adapter.
+//  * config.parallelism  > 1: a ParallelExecutor over `parallelism`
+//    hash-partitioned shards (config.shards), each an Engine in
+//    external-expiry mode with its own strategy instance, all delivering
+//    into `sink` through a serializing adapter.
 //
-// The sharded path requires a shardable plan (every stateful operator
-// matches on join-key equality; no theta/NLJ joins).
+// Either path is wrapped in an ingress guard when config.ingress is
+// enabled. The sharded path requires a shardable plan (every stateful
+// operator matches on join-key equality; no theta/NLJ joins).
 //
 // Threading contract: the returned processor's public surface must be
 // driven by one coordinator thread — the sharded path's entry points are
@@ -35,8 +36,7 @@ using StrategyFactory = std::function<std::unique_ptr<MigrationStrategy>()>;
 // from other threads.
 std::unique_ptr<StreamProcessor> MakeEngineProcessor(
     const LogicalPlan& plan, const WindowSpec& windows, Sink* sink,
-    StrategyFactory strategy_factory, Engine::Options options,
-    ParallelExecutor::Options parallel_options = ParallelExecutor::Options());
+    StrategyFactory strategy_factory, const ProcessorConfig& config);
 
 }  // namespace jisc
 

@@ -14,26 +14,27 @@ namespace jisc {
 ParallelExecutor::ParallelExecutor(const LogicalPlan& plan,
                                    const WindowSpec& windows, Sink* sink,
                                    const ShardFactory& factory,
+                                   int num_shards, Observability* obs,
                                    Options options)
     : options_(options),
+      obs_(obs),
       windows_(windows),
-      acks_(static_cast<size_t>(options.num_shards > 0 ? options.num_shards
-                                                       : 1)),
+      acks_(static_cast<size_t>(num_shards > 0 ? num_shards : 1)),
       live_(static_cast<size_t>(windows.num_streams())) {
-  JISC_CHECK(options_.num_shards >= 1);
+  JISC_CHECK(num_shards >= 1);
   JISC_CHECK(options_.batch_size >= 1);
   Status shardable = ValidateShardable(plan);
   JISC_CHECK(shardable.ok()) << shardable.ToString();
-  if (options_.obs != nullptr) telemetry_ = options_.obs->telemetry.get();
+  if (obs_ != nullptr) telemetry_ = obs_->telemetry.get();
   if (telemetry_ != nullptr) {
     // Track 0 is the coordinator; shard i records on track i + 1 (same
     // numbering as the trace recorder).
-    telemetry_->RegisterTracks(1 + options_.num_shards);
+    telemetry_->RegisterTracks(1 + num_shards);
   }
   if (sink != nullptr) {
     locked_sink_ = std::make_unique<LockedSink>(sink);
   }
-  for (int i = 0; i < options_.num_shards; ++i) {
+  for (int i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>(options_.queue_capacity);
     shard->processor = factory(locked_sink_.get(), i);
     JISC_CHECK(shard->processor != nullptr);
@@ -41,11 +42,11 @@ ParallelExecutor::ParallelExecutor(const LogicalPlan& plan,
     shard->index = i;
     shards_.push_back(std::move(shard));
   }
-  name_ = "parallel-" + std::to_string(options_.num_shards) + "x-" +
+  name_ = "parallel-" + std::to_string(num_shards) + "x-" +
           shards_[0]->processor->name();
   // Workers start only after every shard is fully constructed: the shard
   // vector is immutable (and safely published) from here on.
-  for (int i = 0; i < options_.num_shards; ++i) {
+  for (int i = 0; i < num_shards; ++i) {
     shards_[static_cast<size_t>(i)]->thread =
         std::thread([this, i] { WorkerLoop(i); });
   }
@@ -172,7 +173,7 @@ Status ParallelExecutor::RequestTransition(const LogicalPlan& new_plan) {
   if (!shardable.ok()) return shardable;
   // Coordinator-side view of the whole broadcast (track 0); each shard
   // records its own migration-phase spans on track shard + 1.
-  TraceScope span(options_.obs != nullptr ? &options_.obs->trace : nullptr,
+  TraceScope span(obs_ != nullptr ? &obs_->trace : nullptr,
                   "transition-broadcast", "migration", /*track=*/0);
   ShardEvent ev;
   ev.kind = ShardEvent::Kind::kTransition;
@@ -186,7 +187,7 @@ Status ParallelExecutor::RequestTransition(const LogicalPlan& new_plan) {
 }
 
 void ParallelExecutor::Barrier() {
-  TraceScope span(options_.obs != nullptr ? &options_.obs->trace : nullptr,
+  TraceScope span(obs_ != nullptr ? &obs_->trace : nullptr,
                   "barrier", "migration", /*track=*/0);
   ShardEvent ev;
   ev.kind = ShardEvent::Kind::kBarrier;

@@ -73,17 +73,14 @@ class TelemetryRegistry;
 // use MetricsApprox(), which only reads atomic counters.
 class ParallelExecutor : public StreamProcessor {
  public:
+  // What only the executor reads; the shard count and the observability
+  // bundle are constructor arguments.
   struct Options {
-    int num_shards = 4;
     // Shard feed capacity in batches; the producer blocks when full.
     size_t queue_capacity = 256;
     // Most events per queue hand-off. A batch is sent early whenever its
     // shard's feed is empty, so this caps batches for busy workers only.
     size_t batch_size = 64;
-    // Observability bundle (nullptr = off). The coordinator records its
-    // broadcast/barrier spans on track 0; shard processors (wired by the
-    // factory) record on track shard + 1 into the same bundle.
-    Observability* obs = nullptr;
     // Fault injection for the telemetry stall watchdog (tests/scenarios
     // only): the worker of shard `straggler_shard` sleeps for
     // `straggler_stall_ns` after every `straggler_stall_every` processed
@@ -103,9 +100,13 @@ class ParallelExecutor : public StreamProcessor {
 
   // `sink` is the downstream consumer of the merged output stream; it is
   // wrapped in an internal LockedSink shared by all shards. Pass nullptr
-  // when the factory wires its own (per-shard) sinks.
+  // when the factory wires its own (per-shard) sinks. `obs` (nullptr = off)
+  // is the observability bundle: the coordinator records its
+  // broadcast/barrier spans on track 0; shard processors (wired by the
+  // factory) record on track shard + 1 into the same bundle.
   ParallelExecutor(const LogicalPlan& plan, const WindowSpec& windows,
-                   Sink* sink, const ShardFactory& factory, Options options);
+                   Sink* sink, const ShardFactory& factory, int num_shards,
+                   Observability* obs, Options options);
   ~ParallelExecutor() override;
 
   // True when every stateful operator matches on join-key equality, the
@@ -177,7 +178,8 @@ class ParallelExecutor : public StreamProcessor {
   void WorkerLoop(int shard_index);
 
   Options options_;
-  // Cached from options_.obs (nullptr = telemetry off): gauge sites in the
+  Observability* obs_;
+  // Cached from obs_ (nullptr = telemetry off): gauge sites in the
   // Push/flush hot path and the worker loops gate on this one pointer.
   TelemetryRegistry* telemetry_ = nullptr;
   WindowSpec windows_;

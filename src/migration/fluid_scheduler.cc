@@ -138,10 +138,10 @@ uint64_t FluidJiscStrategy::FluidBacklog() {
 }
 
 void FluidJiscStrategy::RunFluidBatch(Engine* engine, Stamp stamp) {
-  Observability* obs = engine->obs();
+  Observability* obs = engine->config().obs;
   TraceRecorder* rec = obs != nullptr ? &obs->trace : nullptr;
   scheduler_.RunBatch(
-      &engine->mutable_metrics(), rec, engine->obs_track(),
+      &engine->mutable_metrics(), rec, engine->config().obs_track,
       [&] { return Step(engine, stamp); }, [&] { return FluidBacklog(); });
 }
 

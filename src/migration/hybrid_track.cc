@@ -14,29 +14,25 @@ namespace jisc {
 
 HybridTrackProcessor::HybridTrackProcessor(const LogicalPlan& plan,
                                            const WindowSpec& windows,
-                                           Sink* sink)
-    : HybridTrackProcessor(plan, windows, sink, Options()) {}
-
-HybridTrackProcessor::HybridTrackProcessor(const LogicalPlan& plan,
-                                           const WindowSpec& windows,
-                                           Sink* sink, Options options)
+                                           Sink* sink,
+                                           const ProcessorConfig& config)
     : windows_(windows),
-      options_(options),
-      dedup_(options.obs != nullptr ? static_cast<Sink*>(&obs_sink_) : sink),
-      fluid_sched_(options.fluid) {
-  if (options_.obs != nullptr) obs_sink_.Wire(sink, options_.obs);
+      config_(config),
+      dedup_(config.obs != nullptr ? static_cast<Sink*>(&obs_sink_) : sink),
+      fluid_sched_(config.fluid) {
+  if (config_.obs != nullptr) obs_sink_.Wire(sink, config_.obs);
   dedup_.set_metrics(&metrics_);
   auto exec =
-      std::make_unique<PipelineExecutor>(plan, windows_, options_.exec);
+      std::make_unique<PipelineExecutor>(plan, windows_, config_.exec);
   exec->SetSink(&dedup_);
   exec->SetMetrics(&metrics_);
-  exec->SetObservability(options_.obs, options_.obs_track);
+  exec->SetObservability(config_.obs, config_.obs_track);
   plans_.push_back(std::move(exec));
   boundaries_.push_back(0);
 }
 
 void HybridTrackProcessor::Push(const BaseTuple& tuple) {
-  if (options_.obs != nullptr) obs_sink_.BeginEvent();
+  if (config_.obs != nullptr) obs_sink_.BeginEvent();
   Stamp stamp = next_stamp_++;
   max_seq_seen_ = std::max(max_seq_seen_, tuple.seq);
   if (!pending_copies_.empty()) {
@@ -45,7 +41,7 @@ void HybridTrackProcessor::Push(const BaseTuple& tuple) {
     // backlog. Both run under this event's delay measurement, so the batch
     // budget bounds the stall this event's outputs observe.
     EnsureCopied(tuple.key);
-    if (++events_since_fluid_ >= options_.fluid.batch_period) {
+    if (++events_since_fluid_ >= config_.fluid.batch_period) {
       events_since_fluid_ = 0;
       RunFluidCopyBatch();
     }
@@ -54,7 +50,7 @@ void HybridTrackProcessor::Push(const BaseTuple& tuple) {
     plan->PushArrival(tuple, stamp);
     plan->RunUntilIdle();
   }
-  if (migrating() && ++events_since_check_ >= options_.purge_check_period) {
+  if (migrating() && ++events_since_check_ >= config_.purge_check_period) {
     events_since_check_ = 0;
     CheckDiscard();
   }
@@ -75,9 +71,9 @@ Status HybridTrackProcessor::RequestTransition(const LogicalPlan& new_plan) {
     return Status::InvalidArgument(
         "new plan must cover the same streams as the old plan");
   }
-  Observability* obs = options_.obs;
+  Observability* obs = config_.obs;
   TraceRecorder* rec = obs != nullptr ? &obs->trace : nullptr;
-  TraceScope transition(rec, "transition", "migration", options_.obs_track);
+  TraceScope transition(rec, "transition", "migration", config_.obs_track);
   // A second transition while a fluid copy-in is still draining lands the
   // remainder synchronously first: the newest plan is about to become the
   // donor, so its adopted states must hold their full content.
@@ -104,14 +100,14 @@ Status HybridTrackProcessor::RequestTransition(const LogicalPlan& new_plan) {
   // exactly), as do list states (theta probes are not key-local) and fully
   // matched transitions (the old plans are discarded immediately below, so
   // the new plan must be self-sufficient from the first tuple).
-  const bool defer = options_.fluid.IsFluid() &&
+  const bool defer = config_.fluid.IsFluid() &&
                      num_matched < new_plan.num_nodes();
   std::vector<bool> deferred(new_plan.num_nodes(), false);
   StatePool pool;
   last_states_copied_ = 0;
   std::unique_ptr<PipelineExecutor> exec;
   {
-    TraceScope span(rec, "state-copy", "migration", options_.obs_track);
+    TraceScope span(rec, "state-copy", "migration", config_.obs_track);
     for (int id = 0; id < new_plan.num_nodes(); ++id) {
       Operator* source = sources[id];
       if (source == nullptr) continue;
@@ -127,11 +123,11 @@ Status HybridTrackProcessor::RequestTransition(const LogicalPlan& new_plan) {
     }
     span.SetArg("states_copied", last_states_copied_);
     exec = std::make_unique<PipelineExecutor>(new_plan, windows_,
-                                              options_.exec, &pool);
+                                              config_.exec, &pool);
   }
   exec->SetSink(&dedup_);
   exec->SetMetrics(&metrics_);
-  exec->SetObservability(options_.obs, options_.obs_track);
+  exec->SetObservability(config_.obs, config_.obs_track);
   // States that start empty are marked incomplete so expiry propagation
   // never stops at them (their combinations exist, materialized, in the
   // complete ancestors we just copied). Unlike JISC there is no on-demand
@@ -175,7 +171,7 @@ Status HybridTrackProcessor::RequestTransition(const LogicalPlan& new_plan) {
   events_since_fluid_ = 0;
   if (obs != nullptr && obs->telemetry != nullptr) {
     // jisc-verify: allow(obs-null-discipline) — guarded just above
-    obs->telemetry->SetMigrationBacklog(options_.obs_track,
+    obs->telemetry->SetMigrationBacklog(config_.obs_track,
                                         FluidCopyBacklog());
   }
   if (fully_matched) {
@@ -184,7 +180,7 @@ Status HybridTrackProcessor::RequestTransition(const LogicalPlan& new_plan) {
     // migration stage at all — the one transition shape where the hybrid
     // family clearly beats plain Parallel Track.
     while (plans_.size() > 1) {
-      TraceScope span(rec, "plan-discard", "migration", options_.obs_track);
+      TraceScope span(rec, "plan-discard", "migration", config_.obs_track);
       plans_.front()->root()->state().ForEachLive(
           [this](const Tuple& t) { dedup_.NoteDiscard(t); });
       plans_.erase(plans_.begin());
@@ -202,12 +198,12 @@ uint64_t HybridTrackProcessor::StateMemory() const {
 }
 
 void HybridTrackProcessor::CheckDiscard() {
-  Observability* obs = options_.obs;
+  Observability* obs = config_.obs;
   TraceRecorder* rec = obs != nullptr ? &obs->trace : nullptr;
   while (plans_.size() > 1) {
     bool purgeable;
     {
-      TraceScope span(rec, "purge-scan", "migration", options_.obs_track);
+      TraceScope span(rec, "purge-scan", "migration", config_.obs_track);
       purgeable = plans_.front()->AllStatesNewerThan(boundaries_[1]);
     }
     if (!purgeable) break;
@@ -216,7 +212,7 @@ void HybridTrackProcessor::CheckDiscard() {
     // purge scan above still ran, so the scan cadence and its charges are
     // identical to an all-at-once run).
     if (!pending_copies_.empty()) break;
-    TraceScope span(rec, "plan-discard", "migration", options_.obs_track);
+    TraceScope span(rec, "plan-discard", "migration", config_.obs_track);
     plans_.front()->root()->state().ForEachLive(
         [this](const Tuple& t) { dedup_.NoteDiscard(t); });
     plans_.erase(plans_.begin());
@@ -300,12 +296,12 @@ bool HybridTrackProcessor::CopyStep() {
 
 void HybridTrackProcessor::RunFluidCopyBatch() {
   TraceRecorder* rec =
-      options_.obs != nullptr ? &options_.obs->trace : nullptr;
-  fluid_sched_.RunBatch(&metrics_, rec, options_.obs_track,
+      config_.obs != nullptr ? &config_.obs->trace : nullptr;
+  fluid_sched_.RunBatch(&metrics_, rec, config_.obs_track,
                         [this] { return CopyStep(); },
                         [this] { return FluidCopyBacklog(); });
-  if (options_.obs != nullptr && options_.obs->telemetry != nullptr) {
-    options_.obs->telemetry->SetMigrationBacklog(options_.obs_track,
+  if (config_.obs != nullptr && config_.obs->telemetry != nullptr) {
+    config_.obs->telemetry->SetMigrationBacklog(config_.obs_track,
                                                  FluidCopyBacklog());
   }
 }

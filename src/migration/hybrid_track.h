@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "core/migration_strategy.h"
+#include "core/processor_config.h"
 #include "exec/pipeline_executor.h"
 #include "exec/sink.h"
 #include "exec/stream_processor.h"
@@ -28,25 +28,13 @@ namespace jisc {
 // and the periodic purge scans still decide when the old plan dies.
 class HybridTrackProcessor : public StreamProcessor {
  public:
-  struct Options {
-    PipelineExecutor::Options exec;
-    // Events between purge-detection scans of the oldest plan's states.
-    uint64_t purge_check_period = 32;
-    // Observability bundle (nullptr = off); see obs/observability.h.
-    Observability* obs = nullptr;
-    int obs_track = 0;
-    // Fluid mode: the state-matching copy of shared hash-join states is
-    // deferred and drained per key in budgeted batches between tuples
-    // (migration/fluid_scheduler.h). Scans and list states are still copied
-    // at the transition — count-window eviction bookkeeping and theta
-    // probes are not key-local, so deferring them would change results.
-    FluidOptions fluid;
-  };
-
+  // With config.fluid on, the copy of shared hash-join states is drained
+  // per key in budgeted batches between tuples (migration/fluid_scheduler.h).
+  // Scans and list states are still copied at the transition: count-window
+  // eviction and theta probes are not key-local.
   HybridTrackProcessor(const LogicalPlan& plan, const WindowSpec& windows,
-                       Sink* sink, Options options);
-  HybridTrackProcessor(const LogicalPlan& plan, const WindowSpec& windows,
-                       Sink* sink);
+                       Sink* sink,
+                       const ProcessorConfig& config = ProcessorConfig());
 
   std::string name() const override { return "hybrid-track"; }
   void Push(const BaseTuple& tuple) override;
@@ -90,7 +78,7 @@ class HybridTrackProcessor : public StreamProcessor {
   bool PartsLive(const Tuple& t);
 
   WindowSpec windows_;
-  Options options_;
+  ProcessorConfig config_;
   Metrics metrics_;
   // Delay sink sits between dedup elimination and the user sink, so each
   // output's delay covers the full per-event work across all live plans.

@@ -9,9 +9,9 @@ namespace jisc {
 
 Status MovingStateStrategy::Migrate(Engine* engine,
                                     const LogicalPlan& new_plan) {
-  Observability* obs = engine->obs();
+  Observability* obs = engine->config().obs;
   TraceRecorder* rec = obs != nullptr ? &obs->trace : nullptr;
-  int track = engine->obs_track();
+  int track = engine->config().obs_track;
   PipelineExecutor& old_exec = engine->executor();
   StateSnapshot snapshot;
   PlanDiff diff;
@@ -28,7 +28,7 @@ Status MovingStateStrategy::Migrate(Engine* engine,
     TraceScope span(rec, "state-copy", "migration", track);
     StatePool pool = old_exec.TakeAllStates();
     new_exec = std::make_unique<PipelineExecutor>(
-        new_plan, engine->windows(), engine->exec_options(), &pool);
+        new_plan, engine->windows(), engine->config().exec, &pool);
   }
 
   // State computing: eagerly materialize everything missing, bottom-up.

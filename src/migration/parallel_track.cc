@@ -10,28 +10,24 @@ namespace jisc {
 
 ParallelTrackProcessor::ParallelTrackProcessor(const LogicalPlan& plan,
                                                const WindowSpec& windows,
-                                               Sink* sink)
-    : ParallelTrackProcessor(plan, windows, sink, Options()) {}
-
-ParallelTrackProcessor::ParallelTrackProcessor(const LogicalPlan& plan,
-                                               const WindowSpec& windows,
-                                               Sink* sink, Options options)
+                                               Sink* sink,
+                                               const ProcessorConfig& config)
     : windows_(windows),
-      options_(options),
-      dedup_(options.obs != nullptr ? static_cast<Sink*>(&obs_sink_) : sink) {
-  if (options_.obs != nullptr) obs_sink_.Wire(sink, options_.obs);
+      config_(config),
+      dedup_(config.obs != nullptr ? static_cast<Sink*>(&obs_sink_) : sink) {
+  if (config_.obs != nullptr) obs_sink_.Wire(sink, config_.obs);
   dedup_.set_metrics(&metrics_);
   auto exec =
-      std::make_unique<PipelineExecutor>(plan, windows_, options_.exec);
+      std::make_unique<PipelineExecutor>(plan, windows_, config_.exec);
   exec->SetSink(&dedup_);
   exec->SetMetrics(&metrics_);
-  exec->SetObservability(options_.obs, options_.obs_track);
+  exec->SetObservability(config_.obs, config_.obs_track);
   plans_.push_back(std::move(exec));
   boundaries_.push_back(0);
 }
 
 void ParallelTrackProcessor::Push(const BaseTuple& tuple) {
-  if (options_.obs != nullptr) obs_sink_.BeginEvent();
+  if (config_.obs != nullptr) obs_sink_.BeginEvent();
   Stamp stamp = next_stamp_++;
   max_seq_seen_ = std::max(max_seq_seen_, tuple.seq);
   // Every live plan processes every tuple (the migration-stage throughput
@@ -40,7 +36,7 @@ void ParallelTrackProcessor::Push(const BaseTuple& tuple) {
     plan->PushArrival(tuple, stamp);
     plan->RunUntilIdle();
   }
-  if (migrating() && ++events_since_check_ >= options_.purge_check_period) {
+  if (migrating() && ++events_since_check_ >= config_.purge_check_period) {
     events_since_check_ = 0;
     CheckDiscard();
   }
@@ -63,14 +59,14 @@ Status ParallelTrackProcessor::RequestTransition(const LogicalPlan& new_plan) {
         "new plan must cover the same streams as the old plan");
   }
   // The new plan starts from scratch: empty states, empty windows.
-  Observability* obs = options_.obs;
+  Observability* obs = config_.obs;
   TraceScope span(obs != nullptr ? &obs->trace : nullptr, "transition",
-                  "migration", options_.obs_track);
+                  "migration", config_.obs_track);
   auto exec =
-      std::make_unique<PipelineExecutor>(new_plan, windows_, options_.exec);
+      std::make_unique<PipelineExecutor>(new_plan, windows_, config_.exec);
   exec->SetSink(&dedup_);
   exec->SetMetrics(&metrics_);
-  exec->SetObservability(options_.obs, options_.obs_track);
+  exec->SetObservability(config_.obs, config_.obs_track);
   plans_.push_back(std::move(exec));
   boundaries_.push_back(max_seq_seen_ + 1);
   span.SetArg("live_plans", plans_.size());
@@ -84,20 +80,20 @@ uint64_t ParallelTrackProcessor::StateMemory() const {
 }
 
 void ParallelTrackProcessor::CheckDiscard() {
-  Observability* obs = options_.obs;
+  Observability* obs = config_.obs;
   TraceRecorder* rec = obs != nullptr ? &obs->trace : nullptr;
   while (plans_.size() > 1) {
     // plans_[0] is redundant once every tuple it still holds was admitted
     // after plans_[1] started (then plans_[1] has seen everything live).
     bool purgeable;
     {
-      TraceScope span(rec, "purge-scan", "migration", options_.obs_track);
+      TraceScope span(rec, "purge-scan", "migration", config_.obs_track);
       purgeable = plans_.front()->AllStatesNewerThan(boundaries_[1]);
     }
     if (!purgeable) break;
     // Release the discarded plan's share of the dedup counts: its live
     // results remain covered by the surviving plans.
-    TraceScope span(rec, "plan-discard", "migration", options_.obs_track);
+    TraceScope span(rec, "plan-discard", "migration", config_.obs_track);
     plans_.front()->root()->state().ForEachLive(
         [this](const Tuple& t) { dedup_.NoteDiscard(t); });
     plans_.erase(plans_.begin());

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "core/migration_strategy.h"
+#include "core/processor_config.h"
 #include "exec/pipeline_executor.h"
 #include "exec/sink.h"
 #include "exec/stream_processor.h"
@@ -27,28 +27,9 @@ namespace jisc {
 // the older ones are purged.
 class ParallelTrackProcessor : public StreamProcessor {
  public:
-  struct Options {
-    PipelineExecutor::Options exec;
-    // Events between purge-detection scans of the oldest plan's states.
-    // The paper describes frequent per-operator checks ("repeated until the
-    // old plan is discarded") whose cost it calls significant; 32 events
-    // between full-state scans reflects that aggressive regime.
-    uint64_t purge_check_period = 32;
-    // Observability bundle (nullptr = off); see obs/observability.h.
-    Observability* obs = nullptr;
-    int obs_track = 0;
-    // Accepted for configuration uniformity but degenerate here: Parallel
-    // Track carries no state across a transition (the new plan starts
-    // empty and the old plans cover the gap until purged), so there is no
-    // carryover backlog for a fluid drain to batch. A fluid-configured run
-    // behaves exactly like an all-at-once one.
-    FluidOptions fluid;
-  };
-
   ParallelTrackProcessor(const LogicalPlan& plan, const WindowSpec& windows,
-                         Sink* sink, Options options);
-  ParallelTrackProcessor(const LogicalPlan& plan, const WindowSpec& windows,
-                         Sink* sink);
+                         Sink* sink,
+                         const ProcessorConfig& config = ProcessorConfig());
 
   std::string name() const override { return "parallel-track"; }
   void Push(const BaseTuple& tuple) override;
@@ -64,7 +45,7 @@ class ParallelTrackProcessor : public StreamProcessor {
   void CheckDiscard();
 
   WindowSpec windows_;
-  Options options_;
+  ProcessorConfig config_;
   Metrics metrics_;
   // Delay sink sits between dedup elimination and the user sink, so each
   // output's delay covers the full per-event work across all live plans.

@@ -11,7 +11,6 @@
 #include "core/checkpoint.h"
 #include "core/engine.h"
 #include "exec/ingress_guard.h"
-#include "exec/parallel_executor.h"
 #include "obs/observability.h"
 #include "obs/telemetry.h"
 #include "plan/transitions.h"
@@ -206,38 +205,11 @@ StatusOr<RunResult> RunScenario(const Spec& spec, const RunOptions& options) {
   obs_opts.telemetry = telemetry_on;
   Observability obs(obs_opts);
 
-  // Straggler fault injection rides the ParallelExecutor options; only the
-  // engine kinds at parallelism > 1 reach it (ValidateSpec enforces that).
-  ParallelExecutor::Options parallel_options;
-  if (eff.fault.straggler_shard >= 0) {
-    parallel_options.straggler_shard = eff.fault.straggler_shard;
-    parallel_options.straggler_stall_ns = eff.fault.stall_ms * 1000000ull;
-    parallel_options.straggler_stall_every = eff.fault.stall_every;
-  }
-
-  // Engine-side ingress resilience ("ingress" key). The guard's buffer
-  // bounds are real bounds, not workload magnitudes: they stay unscaled.
-  IngressGuard::Options ingress;
-  if (eff.ingress.enabled) {
-    ingress.enabled = true;
-    ingress.dedup_window = eff.ingress.dedup_window;
-    ingress.reorder_window = eff.ingress.reorder_window;
-    ingress.overflow =
-        eff.ingress.overflow == "drop_late"
-            ? IngressGuard::OverflowPolicy::kDropLate
-            : (eff.ingress.overflow == "fail"
-                   ? IngressGuard::OverflowPolicy::kFail
-                   : IngressGuard::OverflowPolicy::kAdmitLate);
-  }
-
-  // Migration pacing ("migration" key); all_at_once is the zero value.
-  FluidOptions fluid = ToFluidOptions(eff.migration);
-
+  ProcessorConfig config = ToProcessorConfig(eff);
+  config.obs = &obs;
   LogicalPlan initial_plan =
       LogicalPlan::LeftDeep(InitialOrder(streams), OpKind::kHashJoin);
-  BuiltProcessor built =
-      MakeProcessor(kind, initial_plan, windows, ThetaSpec(),
-                    eff.parallelism, &obs, parallel_options, ingress, fluid);
+  BuiltProcessor built = MakeProcessor(kind, initial_plan, windows, config);
 
   // The sampler starts after the processor is built (tracks registered) and
   // covers warmup + measured stage; Stop() below takes the final snapshot.
@@ -321,24 +293,23 @@ StatusOr<RunResult> RunScenario(const Spec& spec, const RunOptions& options) {
     // engine's Metrics restart from zero, so bank the old engine's
     // counters first. An ingress-guarded engine checkpoints through the
     // guarded wrapper (guard state rides along in the same bytes).
-    Engine::Options eopts;
-    eopts.obs = &obs;
-    eopts.track_freshness = kind != ProcessorKind::kStaticPipeline;
-    // A mid-fluid checkpoint restores into the same fluid configuration,
-    // so the restored engine resumes the drain where the bytes left it.
-    eopts.fluid = fluid;
+    // The restored engine is built from the run's own config, so a
+    // mid-fluid checkpoint resumes the drain where the bytes left it.
+    EngineRecipe recipe = EngineRecipeFor(kind, config);
+    auto swap_in = [&](auto restored) -> Status {
+      if (!restored.ok()) return restored.status();
+      accumulated += built.processor->metrics();
+      built.processor = std::move(restored).value();
+      ++result.checkpoint_restores;
+      return Status::Ok();
+    };
     if (auto* guarded =
             dynamic_cast<GuardedProcessor*>(built.processor.get())) {
       StatusOr<std::string> bytes = CheckpointGuardedEngine(*guarded);
       if (!bytes.ok()) return bytes.status();
-      accumulated += guarded->metrics();
-      StatusOr<std::unique_ptr<GuardedProcessor>> restored =
-          RestoreGuardedEngine(bytes.value(), built.sink.get(),
-                               EngineStrategyFactory(kind, fluid)(), eopts);
-      if (!restored.ok()) return restored.status();
-      built.processor = std::move(restored).value();
-      ++result.checkpoint_restores;
-      return Status::Ok();
+      return swap_in(RestoreGuardedEngine(bytes.value(), built.sink.get(),
+                                          recipe.strategy_factory(),
+                                          recipe.config));
     }
     auto* engine = dynamic_cast<Engine*>(built.processor.get());
     if (engine == nullptr) {
@@ -347,14 +318,8 @@ StatusOr<RunResult> RunScenario(const Spec& spec, const RunOptions& options) {
     }
     StatusOr<std::string> bytes = CheckpointEngine(*engine);
     if (!bytes.ok()) return bytes.status();
-    accumulated += engine->metrics();
-    StatusOr<std::unique_ptr<Engine>> restored =
-        RestoreEngine(bytes.value(), built.sink.get(),
-                      EngineStrategyFactory(kind, fluid)(), eopts);
-    if (!restored.ok()) return restored.status();
-    built.processor = std::move(restored).value();
-    ++result.checkpoint_restores;
-    return Status::Ok();
+    return swap_in(RestoreEngine(bytes.value(), built.sink.get(),
+                                 recipe.strategy_factory(), recipe.config));
   };
 
   // Ingress fault pipeline: drop decisions happen first (a dropped arrival

@@ -659,7 +659,10 @@ Status ValidateSpec(const Spec& spec) {
   }
   StatusOr<ProcessorKind> kind = StrategyFromName(spec.strategy);
   if (!kind.ok()) return kind.status();
-  if (spec.parallelism < 1) return invalid("parallelism must be >= 1");
+  if (spec.parallelism < 1 || spec.parallelism > kMaxParallelism) {
+    return invalid("parallelism must be in [1, " +
+                   std::to_string(kMaxParallelism) + "]");
+  }
   bool engine_kind = IsEngineKind(kind.value());
   if (spec.parallelism > 1 && !engine_kind) {
     return invalid("strategy '" + spec.strategy +
@@ -772,12 +775,37 @@ Status ValidateSpec(const Spec& spec) {
   return Status::Ok();
 }
 
-FluidOptions ToFluidOptions(const MigrationSpec& migration) {
-  FluidOptions fluid;
-  if (migration.mode == "fluid") fluid.mode = FluidOptions::Mode::kFluid;
-  fluid.batch_keys = migration.batch_keys;
-  fluid.delay_budget_us = migration.delay_budget_us;
-  return fluid;
+ProcessorConfig ToProcessorConfig(const Spec& spec) {
+  ProcessorConfig config;
+  config.parallelism = spec.parallelism;
+  // Straggler fault injection rides the shard options; only the engine
+  // kinds at parallelism > 1 reach it (ValidateSpec enforces that).
+  if (spec.fault.straggler_shard >= 0) {
+    config.shards.straggler_shard = spec.fault.straggler_shard;
+    config.shards.straggler_stall_ns = spec.fault.stall_ms * 1000000ull;
+    config.shards.straggler_stall_every = spec.fault.stall_every;
+  }
+  // The guard's buffer bounds are real bounds, not workload magnitudes:
+  // they stay unscaled.
+  const IngressSpec& ingress = spec.ingress;
+  if (ingress.enabled) {
+    config.ingress.enabled = true;
+    config.ingress.dedup_window = ingress.dedup_window;
+    config.ingress.reorder_window = ingress.reorder_window;
+    config.ingress.overflow =
+        ingress.overflow == "drop_late"
+            ? IngressGuard::OverflowPolicy::kDropLate
+            : (ingress.overflow == "fail"
+                   ? IngressGuard::OverflowPolicy::kFail
+                   : IngressGuard::OverflowPolicy::kAdmitLate);
+  }
+  // all_at_once is the zero value.
+  if (spec.migration.mode == "fluid") {
+    config.fluid.mode = FluidOptions::Mode::kFluid;
+  }
+  config.fluid.batch_keys = spec.migration.batch_keys;
+  config.fluid.delay_budget_us = spec.migration.delay_budget_us;
+  return config;
 }
 
 }  // namespace scenario

@@ -190,7 +190,7 @@ struct Spec {
   // Strategy under test (a ProcessorKindName; `jiscbench run --strategy`
   // overrides) and shard count for the engine kinds.
   std::string strategy = "jisc";
-  int parallelism = 1;
+  int parallelism = 1;  // 1..kMaxParallelism
 
   // Record per-operator probe/insert service-time histograms (extra clock
   // reads on the hot path; off by default).
@@ -234,14 +234,20 @@ StatusOr<Spec> LoadSpecFile(const std::string& path);
 // round-trip test in scenario_test locks this in).
 Json SpecToJson(const Spec& spec);
 
+// Upper bound on Spec::parallelism (and so on `jiscbench --parallelism`):
+// every shard is a worker thread. The largest committed spec uses 8.
+constexpr int kMaxParallelism = 64;
+
 // Semantic validation (also run by ParseSpec).
 Status ValidateSpec(const Spec& spec);
 
 // Sum of phase tuple counts at paper scale.
 uint64_t TotalMeasuredTuples(const Spec& spec);
 
-// The engine-level fluid configuration a spec's migration block selects.
-FluidOptions ToFluidOptions(const MigrationSpec& migration);
+// The processor configuration a spec selects: parallelism, the straggler
+// fault, ingress and migration pacing. The runner adds the run's
+// observability bundle.
+ProcessorConfig ToProcessorConfig(const Spec& spec);
 
 }  // namespace scenario
 }  // namespace jisc

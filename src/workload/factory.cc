@@ -1,5 +1,7 @@
 #include "workload/factory.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "core/engine.h"
 #include "core/jisc_runtime.h"
@@ -51,10 +53,10 @@ bool IsEngineKind(ProcessorKind kind) {
          kind == ProcessorKind::kStaticPipeline;
 }
 
+namespace {
+
 StrategyFactory EngineStrategyFactory(ProcessorKind kind,
-                                      FluidOptions fluid) {
-  JISC_CHECK(IsEngineKind(kind))
-      << ProcessorKindName(kind) << " is not an engine kind";
+                                      const FluidOptions& fluid) {
   const bool is_fluid = fluid.IsFluid();
   switch (kind) {
     case ProcessorKind::kJiscFirstReceipt: {
@@ -87,53 +89,46 @@ StrategyFactory EngineStrategyFactory(ProcessorKind kind,
   }
 }
 
+}  // namespace
+
+EngineRecipe EngineRecipeFor(ProcessorKind kind,
+                             const ProcessorConfig& config) {
+  JISC_CHECK(IsEngineKind(kind))
+      << ProcessorKindName(kind) << " is not an engine kind";
+  EngineRecipe recipe{EngineStrategyFactory(kind, config.fluid), config};
+  recipe.config.track_freshness =
+      config.track_freshness && kind != ProcessorKind::kStaticPipeline;
+  return recipe;
+}
+
 BuiltProcessor MakeProcessor(ProcessorKind kind, const LogicalPlan& plan,
-                             const WindowSpec& windows, ThetaSpec theta,
-                             int parallelism, Observability* obs,
-                             ParallelExecutor::Options parallel_options,
-                             IngressGuard::Options ingress,
-                             FluidOptions fluid) {
+                             const WindowSpec& windows,
+                             const ProcessorConfig& config) {
   BuiltProcessor built;
   built.sink = std::make_unique<CountingSink>();
-  JISC_CHECK(parallelism <= 1 || IsEngineKind(kind))
+  JISC_CHECK(config.parallelism <= 1 || IsEngineKind(kind))
       << ProcessorKindName(kind) << " does not support parallelism";
-  Engine::Options eopts;
-  eopts.exec.theta = theta;
-  eopts.parallelism = parallelism;
-  eopts.obs = obs;
-  // Engine kinds are guarded inside MakeEngineProcessor (so the guard also
-  // fronts the sharded executor); the other kinds are wrapped below.
-  eopts.ingress = ingress;
-  eopts.fluid = fluid;
   switch (kind) {
     case ProcessorKind::kJisc:
     case ProcessorKind::kJiscFirstReceipt:
     case ProcessorKind::kMovingState:
-    case ProcessorKind::kStaticPipeline:
-      eopts.track_freshness = kind != ProcessorKind::kStaticPipeline;
-      built.processor =
-          MakeEngineProcessor(plan, windows, built.sink.get(),
-                              EngineStrategyFactory(kind, fluid), eopts,
-                              parallel_options);
-      break;
-    case ProcessorKind::kParallelTrack: {
-      ParallelTrackProcessor::Options popts;
-      popts.exec.theta = theta;
-      popts.obs = obs;
-      popts.fluid = fluid;
+    case ProcessorKind::kStaticPipeline: {
+      // MakeEngineProcessor applies the ingress guard itself, so it also
+      // fronts the sharded executor.
+      EngineRecipe recipe = EngineRecipeFor(kind, config);
+      built.processor = MakeEngineProcessor(plan, windows, built.sink.get(),
+                                            std::move(recipe.strategy_factory),
+                                            recipe.config);
+      return built;
+    }
+    case ProcessorKind::kParallelTrack:
       built.processor = std::make_unique<ParallelTrackProcessor>(
-          plan, windows, built.sink.get(), popts);
+          plan, windows, built.sink.get(), config);
       break;
-    }
-    case ProcessorKind::kHybridTrack: {
-      HybridTrackProcessor::Options hopts;
-      hopts.exec.theta = theta;
-      hopts.obs = obs;
-      hopts.fluid = fluid;
+    case ProcessorKind::kHybridTrack:
       built.processor = std::make_unique<HybridTrackProcessor>(
-          plan, windows, built.sink.get(), hopts);
+          plan, windows, built.sink.get(), config);
       break;
-    }
     case ProcessorKind::kCacq:
       built.processor = std::make_unique<CacqExecutor>(plan, windows,
                                                        built.sink.get());
@@ -153,10 +148,9 @@ BuiltProcessor MakeProcessor(ProcessorKind kind, const LogicalPlan& plan,
           StairsExecutor::MigrationPolicy::kLazyJisc);
       break;
   }
-  if (!IsEngineKind(kind)) {
-    built.processor = MaybeGuardProcessor(std::move(built.processor), ingress,
-                                          windows.num_streams(), obs);
-  }
+  built.processor =
+      MaybeGuardProcessor(std::move(built.processor), config.ingress,
+                          windows.num_streams(), config.obs);
   return built;
 }
 

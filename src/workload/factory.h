@@ -5,12 +5,10 @@
 #include <string>
 #include <vector>
 
-#include "core/migration_strategy.h"
 #include "core/parallel_engine.h"
-#include "exec/ingress_guard.h"
+#include "core/processor_config.h"
 #include "exec/sink.h"
 #include "exec/stream_processor.h"
-#include "exec/theta.h"
 #include "plan/logical_plan.h"
 #include "stream/window.h"
 
@@ -42,15 +40,18 @@ std::vector<ProcessorKind> PipelineStrategyKinds();
 // parallelism > 1 and support checkpoint/restore.
 bool IsEngineKind(ProcessorKind kind);
 
-// The migration-strategy factory MakeProcessor wires into an engine kind.
-// Exposed so flows that rebuild an engine outside MakeProcessor — the
-// scenario runner's checkpoint/restore action restoring via RestoreEngine
-// — construct the identical strategy. CHECK-fails on non-engine kinds.
-// A fluid `fluid` selects the fluid-draining strategy decorator for the
-// migrating kinds (kJisc, kJiscFirstReceipt, kMovingState);
-// kStaticPipeline never migrates and ignores it.
-StrategyFactory EngineStrategyFactory(ProcessorKind kind,
-                                      FluidOptions fluid = FluidOptions());
+// An engine kind's build recipe: the migration-strategy factory the kind
+// wires in (the fluid-draining decorator when config.fluid is fluid, for
+// the migrating kinds), and the config it runs with (kStaticPipeline never
+// tracks freshness). MakeProcessor and the scenario runner's
+// checkpoint/restore action both build from it, so a restored engine gets
+// the original's strategy and settings. CHECK-fails on non-engine kinds.
+struct EngineRecipe {
+  StrategyFactory strategy_factory;
+  ProcessorConfig config;
+};
+EngineRecipe EngineRecipeFor(ProcessorKind kind,
+                             const ProcessorConfig& config);
 
 // A processor wired to a counting sink.
 struct BuiltProcessor {
@@ -58,33 +59,15 @@ struct BuiltProcessor {
   std::unique_ptr<CountingSink> sink;
 };
 
-// `parallelism` > 1 routes the Engine-based kinds (kJisc,
-// kJiscFirstReceipt, kMovingState, kStaticPipeline) through the
-// hash-partitioned ParallelExecutor with that many shards; the eddy and
-// multi-plan processors are inherently single-threaded and reject it.
-// `obs` (nullptr = off) attaches an observability bundle to the kinds that
-// support it — the Engine-based kinds plus Parallel/Hybrid Track; the eddy
-// family ignores it (no migration phases to trace).
-// `parallel_options` seeds the ParallelExecutor configuration when
-// parallelism > 1 (queue capacity, batch size, straggler fault injection);
-// num_shards and obs are overwritten from `parallelism` / `obs`. Ignored at
-// parallelism <= 1.
-// `ingress` (disabled by default) wraps the built processor — any kind, any
-// parallelism — in a GuardedProcessor (exec/ingress_guard.h) that dedups
-// and re-orders the feed before admission. Disabled adds no wrapper.
-// `fluid` (all-at-once by default) selects fluid migration for the kinds
-// that carry state across transitions: the engine kinds get the fluid
-// strategy decorator plus the engine's between-event batch pump, Hybrid
-// Track gets its deferred per-key copy-in, and Parallel Track accepts the
-// options as a documented no-op (it has no carryover to batch). The eddy
-// family has no migration stage and ignores it.
-BuiltProcessor MakeProcessor(
-    ProcessorKind kind, const LogicalPlan& plan, const WindowSpec& windows,
-    ThetaSpec theta = ThetaSpec(), int parallelism = 1,
-    Observability* obs = nullptr,
-    ParallelExecutor::Options parallel_options = ParallelExecutor::Options(),
-    IngressGuard::Options ingress = IngressGuard::Options(),
-    FluidOptions fluid = FluidOptions());
+// Builds `kind` from `config` (core/processor_config.h documents which
+// processors read which fields). Routing rules:
+//  * parallelism > 1 is for the engine kinds only (CHECK-fails otherwise);
+//  * an enabled config.ingress wraps any kind in a GuardedProcessor, which
+//    reports to config.obs;
+//  * the eddy family (kCacq, kMJoin, kStairs*) reads nothing else.
+BuiltProcessor MakeProcessor(ProcessorKind kind, const LogicalPlan& plan,
+                             const WindowSpec& windows,
+                             const ProcessorConfig& config = ProcessorConfig());
 
 }  // namespace jisc
 

@@ -309,11 +309,11 @@ TEST(CheckpointTest, MovingStateEngineRestoresUnderJisc) {
 // in-flight migration bookkeeping (v2 format); the restored engine resumes
 // the drain and must be indistinguishable from an uninterrupted twin.
 
-FluidOptions SlowFluid() {
-  FluidOptions fluid;
-  fluid.mode = FluidOptions::Mode::kFluid;
-  fluid.batch_keys = 1;  // one key per event: the drain spans many events
-  return fluid;
+ProcessorConfig SlowFluid() {
+  ProcessorConfig config;
+  config.fluid.mode = FluidOptions::Mode::kFluid;
+  config.fluid.batch_keys = 1;  // one key per event: the drain spans events
+  return config;
 }
 
 std::map<std::string, uint64_t> CounterMap(const Metrics& m) {
@@ -332,15 +332,11 @@ struct FluidFixture {
                                            OpKind::kHashJoin);
   WindowSpec windows = WindowSpec::Uniform(4, 50000);
   std::vector<BaseTuple> tuples = UniformWorkload(4, 64, 1300, 13);
-  FluidOptions fluid = SlowFluid();
+  ProcessorConfig config = SlowFluid();
 
-  Engine::Options opts() const {
-    Engine::Options o;
-    o.fluid = fluid;
-    return o;
-  }
+  const ProcessorConfig& opts() const { return config; }
   std::unique_ptr<MigrationStrategy> strategy() const {
-    return EngineStrategyFactory(ProcessorKind::kJisc, fluid)();
+    return EngineRecipeFor(ProcessorKind::kJisc, opts()).strategy_factory();
   }
 };
 

@@ -34,14 +34,21 @@ struct RunSignature {
 
 // `obs` attaches the observability bundle (tracing + histograms); the
 // tracing-on/off battery below requires it to change nothing observable.
-RunSignature RunOnce(ProcessorKind kind, Observability* obs = nullptr) {
+// `fluid` paces the migration in batches of three keys.
+RunSignature RunOnce(ProcessorKind kind, Observability* obs = nullptr,
+                     bool fluid = false) {
   auto order = IdentityOrder(4);
   LogicalPlan plan = LogicalPlan::LeftDeep(order, OpKind::kHashJoin);
   LogicalPlan next = LogicalPlan::LeftDeep(WorstCaseOrder(order),
                                            OpKind::kHashJoin);
   WindowSpec windows = WindowSpec::Uniform(4, 8);
-  BuiltProcessor built =
-      MakeProcessor(kind, plan, windows, ThetaSpec(), /*parallelism=*/1, obs);
+  ProcessorConfig config;
+  config.obs = obs;
+  if (fluid) {
+    config.fluid.mode = FluidOptions::Mode::kFluid;
+    config.fluid.batch_keys = 3;
+  }
+  BuiltProcessor built = MakeProcessor(kind, plan, windows, config);
   auto tuples = UniformWorkload(4, 4, 500, /*seed=*/33);
   std::vector<Tuple> outputs;
   built.sink->SetCallback(
@@ -155,31 +162,7 @@ TEST_P(DeterminismTest, TelemetryGaugesOnOffIsByteIdentical) {
 // what it observes.
 
 RunSignature RunOnceFluid(ProcessorKind kind, Observability* obs = nullptr) {
-  auto order = IdentityOrder(4);
-  LogicalPlan plan = LogicalPlan::LeftDeep(order, OpKind::kHashJoin);
-  LogicalPlan next = LogicalPlan::LeftDeep(WorstCaseOrder(order),
-                                           OpKind::kHashJoin);
-  WindowSpec windows = WindowSpec::Uniform(4, 8);
-  FluidOptions fluid;
-  fluid.mode = FluidOptions::Mode::kFluid;
-  fluid.batch_keys = 3;
-  BuiltProcessor built =
-      MakeProcessor(kind, plan, windows, ThetaSpec(), /*parallelism=*/1, obs,
-                    ParallelExecutor::Options(), IngressGuard::Options(),
-                    fluid);
-  auto tuples = UniformWorkload(4, 4, 500, /*seed=*/33);
-  std::vector<Tuple> outputs;
-  built.sink->SetCallback(
-      [&](const Tuple& t, Stamp) { outputs.push_back(t); });
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (i == 250) {
-      EXPECT_TRUE(built.processor->RequestTransition(next).ok());
-    }
-    built.processor->Push(tuples[i]);
-  }
-  return RunSignature{OutputsHash(outputs),
-                      built.processor->metrics().WorkUnits(),
-                      built.processor->metrics().outputs};
+  return RunOnce(kind, obs, /*fluid=*/true);
 }
 
 class FluidDeterminismTest : public ::testing::TestWithParam<ProcessorKind> {

@@ -62,7 +62,7 @@ TEST(EngineTest, LoadSheddingDropsNewestWhenBufferFull) {
   LogicalPlan plan = LogicalPlan::LeftDeep({0, 1}, OpKind::kHashJoin);
   WindowSpec windows = WindowSpec::Uniform(2, 4);
   CountingSink sink;
-  Engine::Options opts;
+  ProcessorConfig opts;
   opts.max_buffered_arrivals = 5;
   Engine engine(plan, windows, &sink, MakeJiscStrategy(), opts);
   auto tuples = UniformWorkload(2, 2, 12);
@@ -140,7 +140,7 @@ TEST(ParallelTrackTest, MigratingLifecycle) {
   LogicalPlan b = LogicalPlan::LeftDeep({2, 1, 0}, OpKind::kHashJoin);
   WindowSpec windows = WindowSpec::Uniform(3, 8);
   CountingSink sink;
-  ParallelTrackProcessor::Options opts;
+  ProcessorConfig opts;
   opts.purge_check_period = 8;
   ParallelTrackProcessor pt(a, windows, &sink, opts);
   EXPECT_FALSE(pt.migrating());
@@ -164,7 +164,7 @@ TEST(ParallelTrackTest, OverlappedTransitionsRunThreePlans) {
   LogicalPlan c = LogicalPlan::LeftDeep({1, 0, 3, 2}, OpKind::kHashJoin);
   WindowSpec windows = WindowSpec::Uniform(4, 16);
   CountingSink sink;
-  ParallelTrackProcessor::Options opts;
+  ProcessorConfig opts;
   opts.purge_check_period = 1024;  // keep plans alive for the test
   ParallelTrackProcessor pt(a, windows, &sink, opts);
   auto tuples = UniformWorkload(4, 4, 120);
@@ -183,7 +183,7 @@ TEST(HybridTrackTest, CopiesSharedStatesAndShortensNothingUnsound) {
   LogicalPlan b = LogicalPlan::LeftDeep({0, 1, 3, 2}, OpKind::kHashJoin);
   WindowSpec windows = WindowSpec::Uniform(4, 8);
   CountingSink sink;
-  HybridTrackProcessor::Options opts;
+  ProcessorConfig opts;
   opts.purge_check_period = 8;
   HybridTrackProcessor hy(a, windows, &sink, opts);
   auto tuples = UniformWorkload(4, 4, 400);
@@ -202,7 +202,7 @@ TEST(HybridTrackTest, OverlappedClonesOnlyAuthoritativeStates) {
   LogicalPlan b = LogicalPlan::LeftDeep({3, 2, 1, 0}, OpKind::kHashJoin);
   WindowSpec windows = WindowSpec::Uniform(4, 16);
   CountingSink sink;
-  HybridTrackProcessor::Options opts;
+  ProcessorConfig opts;
   opts.purge_check_period = 4096;  // keep everything alive
   HybridTrackProcessor hy(a, windows, &sink, opts);
   auto tuples = UniformWorkload(4, 4, 200);
@@ -255,7 +255,7 @@ TEST(JiscRuntimeTest, IncompleteCountDrainsToZero) {
   CountingSink sink;
   auto runtime = std::make_unique<JiscRuntime>();
   JiscRuntime* rt = runtime.get();
-  Engine::Options eopts;
+  ProcessorConfig eopts;
   eopts.maintain_period = 16;
   Engine engine(a, windows, &sink, std::move(runtime), eopts);
   auto tuples = UniformWorkload(4, 4, 400);

@@ -55,48 +55,41 @@ std::unique_ptr<StreamProcessor> MakeProcessor(StrategyKind kind,
                                                const LogicalPlan& plan,
                                                const WindowSpec& windows,
                                                Sink* sink, ThetaSpec theta) {
-  Engine::Options eopts;
-  eopts.exec.theta = theta;
-  eopts.maintain_period = 32;  // exercise detection often in tests
+  ProcessorConfig config;
+  config.exec.theta = theta;
+  config.maintain_period = 32;  // exercise detection often in tests
+  config.purge_check_period = 64;
   switch (kind) {
     case StrategyKind::kJiscOnProbe:
       return std::make_unique<Engine>(plan, windows, sink, MakeJiscStrategy(),
-                                      eopts);
+                                      config);
     case StrategyKind::kJiscOnFirstReceipt: {
       JiscOptions j;
       j.completion_mode = JiscOptions::CompletionMode::kOnFirstReceipt;
       return std::make_unique<Engine>(plan, windows, sink,
-                                      MakeJiscStrategy(j), eopts);
+                                      MakeJiscStrategy(j), config);
     }
     case StrategyKind::kJiscTurnoverDetection: {
       JiscOptions j;
       j.detection = JiscOptions::DetectionMode::kWindowTurnoverOnly;
       return std::make_unique<Engine>(plan, windows, sink,
-                                      MakeJiscStrategy(j), eopts);
+                                      MakeJiscStrategy(j), config);
     }
     case StrategyKind::kJiscRecursiveOnly: {
       JiscOptions j;
       j.use_left_deep_procedure = false;
       return std::make_unique<Engine>(plan, windows, sink,
-                                      MakeJiscStrategy(j), eopts);
+                                      MakeJiscStrategy(j), config);
     }
     case StrategyKind::kMovingState:
       return std::make_unique<Engine>(plan, windows, sink,
-                                      MakeMovingStateStrategy(), eopts);
-    case StrategyKind::kParallelTrack: {
-      ParallelTrackProcessor::Options popts;
-      popts.exec.theta = theta;
-      popts.purge_check_period = 64;
+                                      MakeMovingStateStrategy(), config);
+    case StrategyKind::kParallelTrack:
       return std::make_unique<ParallelTrackProcessor>(plan, windows, sink,
-                                                      popts);
-    }
-    case StrategyKind::kHybridTrack: {
-      HybridTrackProcessor::Options hopts;
-      hopts.exec.theta = theta;
-      hopts.purge_check_period = 64;
+                                                      config);
+    case StrategyKind::kHybridTrack:
       return std::make_unique<HybridTrackProcessor>(plan, windows, sink,
-                                                    hopts);
-    }
+                                                    config);
   }
   return nullptr;
 }

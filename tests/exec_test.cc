@@ -17,7 +17,7 @@ using testutil::UniformWorkload;
 std::unique_ptr<Engine> MakeEngine(const LogicalPlan& plan,
                                    const WindowSpec& windows, Sink* sink,
                                    ThetaSpec theta = ThetaSpec()) {
-  Engine::Options opts;
+  ProcessorConfig opts;
   opts.exec.theta = theta;
   return std::make_unique<Engine>(plan, windows, sink, MakeJiscStrategy(),
                                   opts);

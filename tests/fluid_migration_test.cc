@@ -68,10 +68,9 @@ OracleRun RunOracle(ProcessorKind kind, FluidOptions fluid) {
   LogicalPlan initial =
       LogicalPlan::LeftDeep(IdentityOrder(kStreams), OpKind::kHashJoin);
   OracleRun run;
-  run.built = MakeProcessor(kind, initial, windows, ThetaSpec(),
-                            /*parallelism=*/1, /*obs=*/nullptr,
-                            ParallelExecutor::Options(),
-                            IngressGuard::Options(), fluid);
+  ProcessorConfig config;
+  config.fluid = fluid;
+  run.built = MakeProcessor(kind, initial, windows, config);
 
   SourceConfig cfg;
   cfg.num_streams = kStreams;
@@ -244,11 +243,10 @@ TEST(FluidChurn, JiscFluidMatchesReferenceUnderChurn) {
   LogicalPlan initial =
       LogicalPlan::LeftDeep(IdentityOrder(n), OpKind::kHashJoin);
   CollectingSink sink;
-  Engine::Options opts;
+  ProcessorConfig opts;
   opts.fluid = Fluid(3, 0);  // one key per batch: drain spans many events
-  Engine engine(initial, windows, &sink,
-                EngineStrategyFactory(ProcessorKind::kJisc, opts.fluid)(),
-                opts);
+  EngineRecipe jisc = EngineRecipeFor(ProcessorKind::kJisc, opts);
+  Engine engine(initial, windows, &sink, jisc.strategy_factory(), opts);
   std::vector<BaseTuple> tuples = testutil::UniformWorkload(n, 8, 600);
   std::map<size_t, LogicalPlan> transitions;
   transitions.emplace(200, LogicalPlan::LeftDeep(
@@ -266,7 +264,7 @@ TEST(FluidChurn, HybridFluidMatchesReferenceUnderChurn) {
   LogicalPlan initial =
       LogicalPlan::LeftDeep(IdentityOrder(n), OpKind::kHashJoin);
   auto sink = std::make_unique<CollectingSink>();
-  HybridTrackProcessor::Options hopts;
+  ProcessorConfig hopts;
   hopts.fluid = Fluid(2, 0);
   HybridTrackProcessor hybrid(initial, windows, sink.get(), hopts);
   std::vector<BaseTuple> tuples = testutil::UniformWorkload(n, 8, 600);
@@ -295,20 +293,19 @@ TEST(FluidCheckpoint, MidDrainCheckpointResumesAndConverges) {
       LogicalPlan::LeftDeep(IdentityOrder(kStreams), OpKind::kHashJoin);
   LogicalPlan target = LogicalPlan::LeftDeep(
       WorstCaseOrder(IdentityOrder(kStreams)), OpKind::kHashJoin);
-  FluidOptions fluid = Fluid(1);
   SourceConfig cfg;
   cfg.num_streams = kStreams;
   cfg.key_domain = kDomain;
   cfg.key_pattern = KeyPattern::kSequential;
   cfg.seed = 11;
-  Engine::Options opts;
-  opts.fluid = fluid;
+  ProcessorConfig opts;
+  opts.fluid = Fluid(1);
+  StrategyFactory jisc =
+      EngineRecipeFor(ProcessorKind::kJisc, opts).strategy_factory;
 
   // Uninterrupted twin.
   CountingSink sink_a;
-  Engine uninterrupted(initial, windows, &sink_a,
-                       EngineStrategyFactory(ProcessorKind::kJisc, fluid)(),
-                       opts);
+  Engine uninterrupted(initial, windows, &sink_a, jisc(), opts);
   SyntheticSource src_a(cfg);
   for (int i = 0; i < kWarmup; ++i) uninterrupted.Push(src_a.Next());
   ASSERT_TRUE(uninterrupted.RequestTransition(target).ok());
@@ -318,9 +315,7 @@ TEST(FluidCheckpoint, MidDrainCheckpointResumesAndConverges) {
 
   // Interrupted run: checkpoint 5 events after the transition.
   CountingSink sink_b;
-  Engine interrupted(initial, windows, &sink_b,
-                     EngineStrategyFactory(ProcessorKind::kJisc, fluid)(),
-                     opts);
+  Engine interrupted(initial, windows, &sink_b, jisc(), opts);
   SyntheticSource src_b(cfg);
   for (int i = 0; i < kWarmup; ++i) interrupted.Push(src_b.Next());
   ASSERT_TRUE(interrupted.RequestTransition(target).ok());
@@ -331,9 +326,8 @@ TEST(FluidCheckpoint, MidDrainCheckpointResumesAndConverges) {
   ASSERT_TRUE(mid.ok()) << mid.status().message();
 
   CountingSink sink_c;
-  StatusOr<std::unique_ptr<Engine>> restored = RestoreEngine(
-      mid.value(), &sink_c,
-      EngineStrategyFactory(ProcessorKind::kJisc, fluid)(), opts);
+  StatusOr<std::unique_ptr<Engine>> restored =
+      RestoreEngine(mid.value(), &sink_c, jisc(), opts);
   ASSERT_TRUE(restored.ok()) << restored.status().message();
   EXPECT_GT(restored.value()->strategy().FluidBacklog(), 0u)
       << "restored engine lost the in-flight drain ledger";

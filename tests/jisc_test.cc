@@ -30,7 +30,7 @@ struct JiscEngine {
                       int num_streams = 4) {
     auto runtime = std::make_unique<JiscRuntime>(jopts);
     runtime_ = runtime.get();
-    Engine::Options eopts;
+    ProcessorConfig eopts;
     eopts.maintain_period = 8;
     engine = std::make_unique<Engine>(
         plan, WindowSpec::Uniform(num_streams, window), &sink,

@@ -235,41 +235,33 @@ TEST(SpscQueueTest, ParkedPingPongLosesNoWakeups) {
 
 // --- sharded engine equivalence -------------------------------------------
 
-enum class ShardStrategy { kJisc, kMovingState };
-
-std::unique_ptr<StreamProcessor> MakeSharded(ShardStrategy strategy,
-                                             const LogicalPlan& plan,
-                                             const WindowSpec& windows,
-                                             Sink* sink, int parallelism) {
-  Engine::Options eopts;
-  eopts.maintain_period = 32;  // exercise completion detection often
-  eopts.parallelism = parallelism;
-  ParallelExecutor::Options popts;
-  popts.queue_capacity = 8;  // small queues: hit backpressure in tests
-  popts.batch_size = 4;
-  StrategyFactory factory;
-  if (strategy == ShardStrategy::kJisc) {
-    factory = [] { return MakeJiscStrategy(); };
-  } else {
-    factory = [] { return MakeMovingStateStrategy(); };
-  }
-  return MakeEngineProcessor(plan, windows, sink, factory, eopts, popts);
+// An engine kind through MakeEngineProcessor, with frequent completion
+// detection and small shard queues.
+std::unique_ptr<StreamProcessor> MakeSharded(
+    ProcessorKind kind, const LogicalPlan& plan, const WindowSpec& windows,
+    Sink* sink, int parallelism, ProcessorConfig config = ProcessorConfig()) {
+  config.maintain_period = 32;  // exercise completion detection often
+  config.parallelism = parallelism;
+  config.shards.queue_capacity = 8;  // small queues: hit backpressure in tests
+  config.shards.batch_size = 4;
+  EngineRecipe recipe = EngineRecipeFor(kind, config);
+  return MakeEngineProcessor(plan, windows, sink, recipe.strategy_factory,
+                             recipe.config);
 }
 
 // Runs the identical workload + transition schedule through the
 // single-threaded oracle and the sharded engine, and compares output and
 // retraction multisets.
-void ExpectShardedMatchesOracle(ShardStrategy strategy,
+void ExpectShardedMatchesOracle(ProcessorKind kind,
                                 const LogicalPlan& plan,
                                 const WindowSpec& windows,
                                 const std::vector<BaseTuple>& tuples,
                                 const std::map<size_t, LogicalPlan>& schedule,
                                 int parallelism) {
   CollectingSink oracle_sink;
-  auto oracle = MakeSharded(strategy, plan, windows, &oracle_sink, 1);
+  auto oracle = MakeSharded(kind, plan, windows, &oracle_sink, 1);
   CollectingSink sharded_sink;
-  auto sharded =
-      MakeSharded(strategy, plan, windows, &sharded_sink, parallelism);
+  auto sharded = MakeSharded(kind, plan, windows, &sharded_sink, parallelism);
   for (size_t i = 0; i < tuples.size(); ++i) {
     auto it = schedule.find(i);
     if (it != schedule.end()) {
@@ -308,7 +300,7 @@ TEST(ParallelEquivalenceTest, LeftDeepWithJiscMigration) {
   auto tuples = UniformWorkload(streams, window, 1200, /*seed=*/11);
   std::map<size_t, LogicalPlan> schedule{{500, reversed}, {900, plan}};
   for (int shards : {1, 2, 4}) {
-    ExpectShardedMatchesOracle(ShardStrategy::kJisc, plan,
+    ExpectShardedMatchesOracle(ProcessorKind::kJisc, plan,
                                WindowSpec::Uniform(streams, window), tuples,
                                schedule, shards);
   }
@@ -323,7 +315,7 @@ TEST(ParallelEquivalenceTest, BushyWithJiscMigration) {
       LogicalPlan::LeftDeep(IdentityOrder(streams), OpKind::kHashJoin);
   auto tuples = UniformWorkload(streams, window, 1000, /*seed=*/23);
   std::map<size_t, LogicalPlan> schedule{{400, left_deep}};
-  ExpectShardedMatchesOracle(ShardStrategy::kJisc, plan,
+  ExpectShardedMatchesOracle(ProcessorKind::kJisc, plan,
                              WindowSpec::Uniform(streams, window), tuples,
                              schedule, 3);
 }
@@ -337,7 +329,7 @@ TEST(ParallelEquivalenceTest, MovingStateStrategy) {
       SwapPositions(IdentityOrder(streams), 1, 3), OpKind::kHashJoin);
   auto tuples = UniformWorkload(streams, window, 900, /*seed=*/31);
   std::map<size_t, LogicalPlan> schedule{{450, swapped}};
-  ExpectShardedMatchesOracle(ShardStrategy::kMovingState, plan,
+  ExpectShardedMatchesOracle(ProcessorKind::kMovingState, plan,
                              WindowSpec::Uniform(streams, window), tuples,
                              schedule, 4);
 }
@@ -356,7 +348,7 @@ TEST(ParallelEquivalenceTest, TimeBasedWindows) {
   SyntheticSource src(cfg);
   auto tuples = src.NextBatch(900);
   std::map<size_t, LogicalPlan> schedule{{400, swapped}};
-  ExpectShardedMatchesOracle(ShardStrategy::kJisc, plan,
+  ExpectShardedMatchesOracle(ProcessorKind::kJisc, plan,
                              WindowSpec::UniformTime(streams, 90), tuples,
                              schedule, 3);
 }
@@ -385,7 +377,7 @@ TEST(ParallelEquivalenceTest, RandomPlansAndSchedules) {
     int shards = 2 + static_cast<int>(rng.UniformU64(3));  // 2..4
     SCOPED_TRACE("round " + std::to_string(round) + " plan " +
                  plan.ToString() + " shards " + std::to_string(shards));
-    ExpectShardedMatchesOracle(ShardStrategy::kJisc, plan,
+    ExpectShardedMatchesOracle(ProcessorKind::kJisc, plan,
                                WindowSpec::Uniform(streams, window), tuples,
                                schedule, shards);
   }
@@ -402,7 +394,7 @@ TEST(ParallelExecutorTest, RejectsThetaPlans) {
 
   // A running sharded engine refuses to migrate to a theta plan.
   CountingSink sink;
-  auto proc = MakeSharded(ShardStrategy::kJisc, hash,
+  auto proc = MakeSharded(ProcessorKind::kJisc, hash,
                           WindowSpec::Uniform(3, 20), &sink, 2);
   EXPECT_FALSE(proc->RequestTransition(theta).ok());
 }
@@ -413,7 +405,7 @@ TEST(ParallelExecutorTest, MetricsAggregateAcrossShards) {
   LogicalPlan plan =
       LogicalPlan::LeftDeep(IdentityOrder(streams), OpKind::kHashJoin);
   CountingSink sink;
-  auto proc = MakeSharded(ShardStrategy::kJisc, plan,
+  auto proc = MakeSharded(ProcessorKind::kJisc, plan,
                           WindowSpec::Uniform(streams, window), &sink, 4);
   auto tuples = UniformWorkload(streams, window, 600, /*seed=*/5);
   for (const BaseTuple& t : tuples) proc->Push(t);
@@ -432,7 +424,7 @@ TEST(ParallelExecutorTest, JiscCompletionRunsPerShard) {
   LogicalPlan reversed = LogicalPlan::LeftDeep(
       WorstCaseOrder(IdentityOrder(streams)), OpKind::kHashJoin);
   CountingSink sink;
-  auto proc = MakeSharded(ShardStrategy::kJisc, plan,
+  auto proc = MakeSharded(ProcessorKind::kJisc, plan,
                           WindowSpec::Uniform(streams, window), &sink, 4);
   auto tuples = UniformWorkload(streams, window, 2000, /*seed=*/77);
   size_t half = tuples.size() / 2;
@@ -453,7 +445,7 @@ TEST(ParallelExecutorTest, MetricsApproxIsSafeFromMonitoringThread) {
   LogicalPlan plan =
       LogicalPlan::LeftDeep(IdentityOrder(streams), OpKind::kHashJoin);
   CountingSink sink;
-  auto proc = MakeSharded(ShardStrategy::kJisc, plan,
+  auto proc = MakeSharded(ProcessorKind::kJisc, plan,
                           WindowSpec::Uniform(streams, window), &sink, 4);
   auto* parallel = dynamic_cast<ParallelExecutor*>(proc.get());
   ASSERT_NE(parallel, nullptr);
@@ -489,7 +481,7 @@ TEST(ParallelExecutorTest, MetricsApproxTotalsAreMonotone) {
   LogicalPlan plan =
       LogicalPlan::LeftDeep(IdentityOrder(streams), OpKind::kHashJoin);
   CountingSink sink;
-  auto proc = MakeSharded(ShardStrategy::kJisc, plan,
+  auto proc = MakeSharded(ProcessorKind::kJisc, plan,
                           WindowSpec::Uniform(streams, window), &sink, 4);
   auto* parallel = dynamic_cast<ParallelExecutor*>(proc.get());
   ASSERT_NE(parallel, nullptr);
@@ -530,23 +522,6 @@ TEST(ParallelExecutorTest, MetricsApproxTotalsAreMonotone) {
 // instance per shard engine, so the drain ledger is shard-local and never
 // shared across threads). TSan gates this section like the rest of the file.
 
-std::unique_ptr<StreamProcessor> MakeShardedFluid(
-    const LogicalPlan& plan, const WindowSpec& windows, Sink* sink,
-    int parallelism, ParallelExecutor::Options popts,
-    FluidOptions::Mode mode) {
-  FluidOptions fluid;
-  fluid.mode = mode;
-  fluid.batch_keys = 2;  // keep the per-shard drain alive across events
-  Engine::Options eopts;
-  eopts.maintain_period = 32;
-  eopts.parallelism = parallelism;
-  eopts.fluid = fluid;
-  popts.queue_capacity = 8;
-  popts.batch_size = 4;
-  return MakeEngineProcessor(plan, windows, sink, EngineStrategyFactory(
-      ProcessorKind::kJisc, fluid), eopts, popts);
-}
-
 using CounterList = std::vector<std::pair<std::string, uint64_t>>;
 
 // `pause` > 0 makes the producer sleep after every push, so each worker
@@ -562,8 +537,13 @@ CounterList RunShardedFluid(
       LogicalPlan::LeftDeep(IdentityOrder(streams), OpKind::kHashJoin);
   LogicalPlan reversed = LogicalPlan::LeftDeep(
       WorstCaseOrder(IdentityOrder(streams)), OpKind::kHashJoin);
-  auto proc = MakeShardedFluid(plan, WindowSpec::Uniform(streams, window),
-                               sink, parallelism, popts, mode);
+  ProcessorConfig config;
+  config.fluid.mode = mode;
+  config.fluid.batch_keys = 2;  // keep the per-shard drain alive across events
+  config.shards = popts;
+  auto proc = MakeSharded(ProcessorKind::kJisc, plan,
+                          WindowSpec::Uniform(streams, window), sink,
+                          parallelism, config);
   auto tuples = UniformWorkload(streams, window, 1200, /*seed=*/11);
   std::map<size_t, LogicalPlan> schedule{{500, reversed}, {900, plan}};
   for (size_t i = 0; i < tuples.size(); ++i) {
@@ -693,18 +673,17 @@ TEST(ParallelExecutorTest, IdleExecutorDeliversWithoutBarrier) {
   CountingSink oracle_sink;
   auto oracle = MakeEngineProcessor(
       plan, windows, &oracle_sink, [] { return MakeJiscStrategy(); },
-      Engine::Options());
+      ProcessorConfig());
   for (const BaseTuple& t : tuples) oracle->Push(t);
   const uint64_t expected = oracle_sink.outputs();
   ASSERT_GT(expected, 0u);
 
-  Engine::Options eopts;
+  ProcessorConfig eopts;
   eopts.parallelism = 3;
-  ParallelExecutor::Options popts;
-  ASSERT_GT(popts.batch_size, tuples.size());
+  ASSERT_GT(eopts.shards.batch_size, tuples.size());
   AtomicCountingSink sink;
   auto proc = MakeEngineProcessor(
-      plan, windows, &sink, [] { return MakeJiscStrategy(); }, eopts, popts);
+      plan, windows, &sink, [] { return MakeJiscStrategy(); }, eopts);
   auto* parallel = dynamic_cast<ParallelExecutor*>(proc.get());
   ASSERT_NE(parallel, nullptr);
   // Polls (without quiescing) until `done` holds or a generous deadline.
@@ -732,15 +711,14 @@ TEST(ParallelExecutorTest, BackpressureSurvivesTinyQueues) {
   uint64_t window = 25;
   LogicalPlan plan =
       LogicalPlan::LeftDeep(IdentityOrder(streams), OpKind::kHashJoin);
-  Engine::Options eopts;
+  ProcessorConfig eopts;
   eopts.parallelism = 8;
-  ParallelExecutor::Options popts;
-  popts.queue_capacity = 2;  // maximal contention on the feeds
-  popts.batch_size = 1;
+  eopts.shards.queue_capacity = 2;  // maximal contention on the feeds
+  eopts.shards.batch_size = 1;
   CountingSink sink;
   auto proc = MakeEngineProcessor(
       plan, WindowSpec::Uniform(streams, window), &sink,
-      [] { return MakeJiscStrategy(); }, eopts, popts);
+      [] { return MakeJiscStrategy(); }, eopts);
   auto tuples = UniformWorkload(streams, window, 4000, /*seed=*/13);
   for (const BaseTuple& t : tuples) proc->Push(t);
   EXPECT_EQ(proc->metrics().arrivals, tuples.size());

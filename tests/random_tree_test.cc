@@ -37,7 +37,7 @@ TEST_P(RandomTreeMigrationTest, ArbitraryShapesMatchReference) {
   LogicalPlan plan = RandomPlanTree(streams, OpKind::kHashJoin, &rng);
   WindowSpec windows = WindowSpec::Uniform(n, window);
   CollectingSink sink;
-  Engine::Options eopts;
+  ProcessorConfig eopts;
   eopts.maintain_period = 16;
   Engine engine(plan, windows, &sink,
                 fp.moving_state ? MakeMovingStateStrategy()

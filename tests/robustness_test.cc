@@ -444,12 +444,11 @@ TEST(GuardedParallelTest, CorruptedFeedMatchesCleanOracleAcrossShards) {
   }
 
   CollectingSink guarded_sink;
-  Engine::Options eopts;
+  ProcessorConfig eopts;
   eopts.parallelism = 4;
   eopts.ingress = GuardOptions(1024, 64);
   auto guarded = MakeEngineProcessor(plan, windows, &guarded_sink,
-                                     [] { return MakeJiscStrategy(); },
-                                     eopts, ParallelExecutor::Options());
+                                     [] { return MakeJiscStrategy(); }, eopts);
   auto* wrapper = dynamic_cast<GuardedProcessor*>(guarded.get());
   ASSERT_NE(wrapper, nullptr);
   // Transitions land at the same clean-feed offset: feed corrupted tuples
@@ -500,7 +499,7 @@ TEST_P(ScheduleFuzzTest, RandomSchedulesMatchReference) {
   CollectingSink sink;
   JiscOptions jopts;
   jopts.completion_mode = fp.mode;
-  Engine::Options eopts;
+  ProcessorConfig eopts;
   eopts.maintain_period = 16;
   Engine engine(plan, windows, &sink, MakeJiscStrategy(jopts), eopts);
   NaiveJoinReference ref(n, windows);

@@ -170,6 +170,18 @@ TEST(SpecTest, ValidatesSemantics) {
   EXPECT_FALSE(ValidateSpec(s).ok());
 }
 
+TEST(SpecTest, ParallelismIsBounded) {
+  // Each shard is a worker thread, so the shard count has a ceiling.
+  // Checked through ValidateSpec alone: nothing here starts a thread.
+  Spec s = TestSpec();
+  s.parallelism = kMaxParallelism;
+  EXPECT_TRUE(ValidateSpec(s).ok());
+  s.parallelism = kMaxParallelism + 1;
+  EXPECT_FALSE(ValidateSpec(s).ok());
+  s.parallelism = 100000;
+  EXPECT_FALSE(ValidateSpec(s).ok());
+}
+
 TEST(SpecTest, EventRequiresExactlyOneAction) {
   EXPECT_FALSE(
       ParseSpecText("{\"name\": \"x\", \"phases\": [{\"tuples\": 10}], "
@@ -375,7 +387,7 @@ TEST(SpecTest, MigrationAndExpectRoundTrip) {
   ASSERT_TRUE(parsed.value().expect.output_delay_p99_us.has_value());
   EXPECT_EQ(*parsed.value().expect.output_delay_p99_us, 2000u);
   // The engine-level options the runner derives from the block.
-  FluidOptions fluid = ToFluidOptions(parsed.value().migration);
+  FluidOptions fluid = ToProcessorConfig(parsed.value()).fluid;
   EXPECT_TRUE(fluid.IsFluid());
   EXPECT_EQ(fluid.batch_keys, 7u);
   EXPECT_EQ(fluid.delay_budget_us, 250u);
@@ -384,7 +396,7 @@ TEST(SpecTest, MigrationAndExpectRoundTrip) {
             std::string::npos);
   EXPECT_EQ(SpecToJson(TestSpec()).Dump().find("expect"),
             std::string::npos);
-  EXPECT_FALSE(ToFluidOptions(TestSpec().migration).IsFluid());
+  EXPECT_FALSE(ToProcessorConfig(TestSpec()).fluid.IsFluid());
 }
 
 TEST(SpecTest, RejectsUnknownMigrationKeys) {
@@ -735,25 +747,45 @@ TEST(RunnerTest, DropEveryThinsTheMeasuredStreamDeterministically) {
 }
 
 TEST(RunnerTest, CheckpointRestoreContinuesTheRun) {
-  Spec s = TestSpec();
-  s.schedule.clear();
-  EventSpec t1;
-  t1.at = 400;
-  t1.transition = TransitionKind::kBestCase;
-  EventSpec cp;
-  cp.at = 1200;  // several window turnovers after the transition
-  cp.action = EventSpec::Action::kCheckpointRestore;
-  s.schedule = {t1, cp};
-  auto with_cp = RunScenario(s);
-  ASSERT_TRUE(with_cp.ok()) << with_cp.status().ToString();
-  EXPECT_EQ(with_cp.value().checkpoint_restores, 1u);
+  // Every engine kind, plus fluid JISC checkpointed mid-drain: the restored
+  // engine is rebuilt from the run's own config and kind, so the run
+  // continues exactly, through a second transition after the restore.
+  for (const auto& [strategy, mode] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"jisc", "all_at_once"},
+           {"jisc-first-receipt", "all_at_once"},
+           {"moving-state", "all_at_once"},
+           {"pipeline-shj", "all_at_once"},
+           {"jisc", "fluid"}}) {
+    SCOPED_TRACE(strategy + " " + mode);
+    Spec s = TestSpec();
+    s.strategy = strategy;
+    s.migration.mode = mode;
+    s.migration.batch_keys = 1;
+    EventSpec t1;
+    t1.at = 400;
+    t1.transition = TransitionKind::kBestCase;
+    // All at once: several window turnovers after the transition. Fluid,
+    // one key per batch: mid-drain.
+    EventSpec cp;
+    cp.at = mode == "fluid" ? 410 : 1200;
+    cp.action = EventSpec::Action::kCheckpointRestore;
+    EventSpec t2;
+    t2.at = 1500;
+    t2.transition = TransitionKind::kInitial;
+    s.schedule = {t1, cp, t2};
+    auto with_cp = RunScenario(s);
+    ASSERT_TRUE(with_cp.ok()) << with_cp.status().ToString();
+    EXPECT_EQ(with_cp.value().checkpoint_restores, 1u);
+    EXPECT_EQ(with_cp.value().transitions, 2u);
 
-  // Restore is behaviour-preserving, so the work-unit counters must match
-  // the uninterrupted run of the same scenario.
-  s.schedule = {t1};
-  auto without = RunScenario(s);
-  ASSERT_TRUE(without.ok());
-  EXPECT_EQ(with_cp.value().counters, without.value().counters);
+    // Restore is behaviour-preserving, so the work-unit counters must
+    // match the uninterrupted run of the same scenario.
+    s.schedule = {t1, t2};
+    auto without = RunScenario(s);
+    ASSERT_TRUE(without.ok());
+    EXPECT_EQ(with_cp.value().counters, without.value().counters);
+  }
 }
 
 TEST(RunnerTest, ScaleHelpers) {

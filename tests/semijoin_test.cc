@@ -157,7 +157,7 @@ TEST_P(SemiJoinMigrationTest, TransitionsMatchReference) {
     j.completion_mode = GetParam().mode;
     strategy = MakeJiscStrategy(j);
   }
-  Engine::Options eopts;
+  ProcessorConfig eopts;
   eopts.maintain_period = 16;
   Engine engine(plan_a, windows, &sink, std::move(strategy), eopts);
   NaiveSemiJoinReference ref(0, {1, 2, 3}, windows);

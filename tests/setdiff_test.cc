@@ -149,7 +149,7 @@ TEST_P(SetDiffMigrationTest, TransitionsMatchReference) {
     j.use_left_deep_procedure = GetParam().left_deep_procedure;
     strategy = MakeJiscStrategy(j);
   }
-  Engine::Options eopts;
+  ProcessorConfig eopts;
   eopts.maintain_period = 16;
   Engine engine(plan_a, windows, &sink, std::move(strategy), eopts);
   NaiveDifferenceReference ref(A, {1, 2, 3}, windows);

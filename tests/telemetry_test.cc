@@ -232,16 +232,15 @@ TEST(TelemetryLiveTest, SamplesLiveParallelExecutor) {
   constexpr int kParallelism = 4;
   LogicalPlan plan =
       LogicalPlan::LeftDeep(IdentityOrder(kStreams), OpKind::kHashJoin);
-  Engine::Options eopts;
+  ProcessorConfig eopts;
   eopts.parallelism = kParallelism;
   eopts.obs = obs.get();
-  ParallelExecutor::Options popts;
-  popts.queue_capacity = 8;  // small queues: exercise the stall gauges
-  popts.batch_size = 4;
+  eopts.shards.queue_capacity = 8;  // small queues: exercise the stall gauges
+  eopts.shards.batch_size = 4;
   CollectingSink sink;
   auto proc = MakeEngineProcessor(
       plan, WindowSpec::Uniform(kStreams, 64), &sink,
-      [] { return MakeMovingStateStrategy(); }, eopts, popts);
+      [] { return MakeMovingStateStrategy(); }, eopts);
 
   TelemetrySampler::Options sopts;
   sopts.period_ms = 1;

@@ -182,7 +182,7 @@ std::vector<TraceSpan> RunEngineTransition(
   LogicalPlan next = LogicalPlan::LeftDeep(
       WorstCaseOrder(IdentityOrder(streams)), OpKind::kHashJoin);
   CountingSink sink;
-  Engine::Options opts;
+  ProcessorConfig opts;
   opts.obs = obs;
   Engine engine(plan, WindowSpec::Uniform(streams, window), &sink,
                 std::move(strategy), opts);
@@ -262,9 +262,10 @@ std::vector<TraceSpan> RunTrackTransition(ProcessorKind kind,
       LogicalPlan::LeftDeep(IdentityOrder(streams), OpKind::kHashJoin);
   LogicalPlan next = LogicalPlan::LeftDeep(
       WorstCaseOrder(IdentityOrder(streams)), OpKind::kHashJoin);
+  ProcessorConfig config;
+  config.obs = obs;
   BuiltProcessor built =
-      MakeProcessor(kind, plan, WindowSpec::Uniform(streams, window),
-                    ThetaSpec(), /*parallelism=*/1, obs);
+      MakeProcessor(kind, plan, WindowSpec::Uniform(streams, window), config);
   auto tuples = UniformWorkload(streams, window, 1200, /*seed=*/5);
   size_t half = tuples.size() / 4;
   for (size_t i = 0; i < half; ++i) built.processor->Push(tuples[i]);

@@ -63,7 +63,7 @@ TEST(ValidateTest, MovingStateAfterMigration) {
 
 TEST(ValidateTest, ThetaAndChains) {
   ThetaSpec theta{1};
-  Engine::Options opts;
+  ProcessorConfig opts;
   opts.exec.theta = theta;
   {
     LogicalPlan plan = LogicalPlan::LeftDeep({0, 1, 2}, OpKind::kNljJoin);

@@ -34,6 +34,7 @@
 // 2 usage error, 3 comparison found a regression, 4 spec or bundle error.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -89,6 +90,17 @@ struct ParsedArgs {
   bool ok = true;
 };
 
+// All of `text` as a decimal T, else nullopt. An unsigned T takes no sign,
+// so "-1" is rejected rather than wrapped.
+template <typename T>
+std::optional<T> ParseWhole(const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 ParsedArgs ParseArgs(int argc, char** argv) {
   ParsedArgs args;
   for (int i = 0; i < argc; ++i) {
@@ -101,12 +113,23 @@ ParsedArgs ParseArgs(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto reject = [&](const char* value, const char* want) {
+      std::cerr << "jiscbench: " << arg << " needs " << want << " (got '"
+                << value << "')\n";
+      args.ok = false;
+    };
     if (arg == "--strategy") {
       if (const char* v = next()) args.strategy = v;
     } else if (arg == "--parallelism") {
-      if (const char* v = next()) args.parallelism = std::atoi(v);
+      if (const char* v = next()) {
+        args.parallelism = ParseWhole<int>(v).value_or(0);
+        if (args.parallelism < 1) reject(v, "an integer >= 1");
+      }
     } else if (arg == "--seed") {
-      if (const char* v = next()) args.seed = std::strtoull(v, nullptr, 10);
+      if (const char* v = next()) {
+        args.seed = ParseWhole<uint64_t>(v);
+        if (!args.seed.has_value()) reject(v, "a non-negative integer");
+      }
     } else if (arg == "--scale") {
       if (const char* v = next()) args.scale = std::atof(v);
     } else if (arg == "--out") {
@@ -117,11 +140,8 @@ ParsedArgs ParseArgs(int argc, char** argv) {
       if (const char* v = next()) args.trace = v;
     } else if (arg == "--telemetry") {
       if (const char* v = next()) {
-        args.telemetry_ms = std::strtoull(v, nullptr, 10);
-        if (args.telemetry_ms == 0) {
-          std::cerr << "jiscbench: --telemetry needs a period > 0 ms\n";
-          args.ok = false;
-        }
+        args.telemetry_ms = ParseWhole<uint64_t>(v).value_or(0);
+        if (args.telemetry_ms == 0) reject(v, "a period > 0 ms");
       }
     } else if (arg == "--telemetry-jsonl") {
       if (const char* v = next()) args.telemetry_jsonl = v;
