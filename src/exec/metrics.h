@@ -10,17 +10,20 @@
 
 namespace jisc {
 
-// One deterministic work counter. Increments use relaxed atomics so the
-// per-shard engines of the parallel executor can be aggregated without
-// data races; on the single-threaded path an uncontended relaxed fetch_add
-// costs the same as a plain increment on x86/aarch64. Note this makes the
-// individual counter reads race-free, not every metrics entry point: which
-// entry points belong to the coordinator thread is declared (and
-// lint-enforced) by JISC_COORDINATOR_ONLY on the entry point itself — see
-// ParallelExecutor, whose quiescing metrics() carries the marker while
-// MetricsApprox() is the thread-safe alternative. Counters are value
-// types: copying snapshots the current count, which keeps Metrics copyable
-// for before/after deltas in benches and tests.
+// One deterministic work counter. Every Metrics has exactly one writer
+// thread (its engine's thread; a ParallelExecutor's merged view is written
+// by the coordinator only), so an update is a relaxed load plus a relaxed
+// store: no read-modify-write is needed, and on x86 it compiles to plain
+// moves instead of a lock-prefixed add. The value is still an atomic, so
+// any other thread may read it without a data race (the parallel
+// executor's MetricsApprox does). A second writer thread would lose
+// updates. Note this makes the individual counter reads race-free, not
+// every metrics entry point: which entry points belong to the coordinator
+// thread is declared (and lint-enforced) by JISC_COORDINATOR_ONLY on the
+// entry point itself — see ParallelExecutor, whose quiescing metrics()
+// carries the marker while MetricsApprox() is the thread-safe alternative.
+// Counters are value types: copying snapshots the current count, which
+// keeps Metrics copyable for before/after deltas in benches and tests.
 class Counter {
  public:
   constexpr Counter() = default;
@@ -38,16 +41,13 @@ class Counter {
     return *this;
   }
 
-  Counter& operator++() {
-    v_.fetch_add(1, std::memory_order_relaxed);
-    return *this;
-  }
+  Counter& operator++() { return *this += 1; }
   Counter& operator--() {
-    v_.fetch_sub(1, std::memory_order_relaxed);
+    v_.store(value() - 1, std::memory_order_relaxed);
     return *this;
   }
   Counter& operator+=(uint64_t d) {
-    v_.fetch_add(d, std::memory_order_relaxed);
+    v_.store(value() + d, std::memory_order_relaxed);
     return *this;
   }
 
@@ -66,8 +66,9 @@ class Counter {
 // Deterministic work counters maintained by the executor. Benchmarks report
 // both wall time and these counters; the counters make the figures'
 // *shapes* reproducible independently of machine noise. Each engine (and
-// each shard of a parallel executor) owns one Metrics; increments are
-// thread-safe, so cross-shard aggregation never races with in-flight work.
+// each shard of a parallel executor) owns one Metrics and is its only
+// writer; reads are atomic, so cross-shard aggregation never races with
+// in-flight work.
 //
 // Snapshot-consistency contract (what copying a Metrics means while
 // workers are incrementing, i.e. what ParallelExecutor::MetricsApprox()

@@ -36,7 +36,10 @@ ParallelExecutor::ParallelExecutor(const LogicalPlan& plan,
   }
   for (int i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>(options_.queue_capacity);
-    shard->processor = factory(locked_sink_.get(), i);
+    if (locked_sink_ != nullptr) {
+      shard->outbox = std::make_unique<Outbox>(locked_sink_.get());
+    }
+    shard->processor = factory(shard->outbox.get(), i);
     JISC_CHECK(shard->processor != nullptr);
     shard->pending.reserve(options_.batch_size);
     shard->index = i;
@@ -210,12 +213,31 @@ uint64_t ParallelExecutor::StateMemory() const {
 }
 
 Metrics ParallelExecutor::MetricsApprox() const {
-  // Shard Engine::metrics() returns a reference to counters that are only
-  // ever incremented through relaxed atomics, so summing them while workers
-  // run is race-free (though a batch may be caught mid-flight).
+  // Shard Engine::metrics() returns a reference to counters that their
+  // worker updates with relaxed atomic stores, so summing them while
+  // workers run is race-free (though a batch may be caught mid-flight).
   Metrics m;
   for (const auto& s : shards_) m += s->processor->metrics();
   return m;
+}
+
+void ParallelExecutor::Outbox::Add(const Tuple& tuple, Stamp stamp,
+                                   bool retract) {
+  // Only an empty outbox may deliver directly: a queued output must never
+  // be overtaken by a later one of the same shard.
+  if (size_ == 0 && sink_->TryDeliver(tuple, stamp, retract)) return;
+  if (size_ == slots_.size()) slots_.emplace_back();
+  LockedSink::Delivery& slot = slots_[size_++];
+  slot.tuple = tuple;  // copy-assignment reuses the slot's part storage
+  slot.stamp = stamp;
+  slot.retract = retract;
+  if (size_ == kOutboxCap) Drain();
+}
+
+void ParallelExecutor::Outbox::Drain() {
+  if (size_ == 0) return;
+  sink_->DeliverAll(slots_.data(), size_);
+  size_ = 0;
 }
 
 // jisc-worker-entry: runs on a shard thread; calling any
@@ -223,6 +245,12 @@ Metrics ParallelExecutor::MetricsApprox() const {
 void ParallelExecutor::WorkerLoop(int shard_index) {
   Shard& s = *shards_[static_cast<size_t>(shard_index)];
   StreamProcessor* proc = s.processor.get();
+  Outbox* outbox = s.outbox.get();
+  // Catches the sink up with this shard: after every batch, before every
+  // ack (so Barrier() returns with the sink caught up) and on exit.
+  auto drain = [outbox] {
+    if (outbox != nullptr) outbox->Drain();
+  };
   const int track = shard_index + 1;
   // Injected straggler (tests/scenarios): periodic wall-clock sleeps on one
   // worker, no effect on outputs or deterministic counters.
@@ -248,11 +276,13 @@ void ParallelExecutor::WorkerLoop(int shard_index) {
           Ack ack;
           ack.shard = shard_index;
           ack.status = proc->RequestTransition(*ev.plan);
+          drain();
           bool pushed = acks_.Push(std::move(ack));
           JISC_CHECK(pushed);
           break;
         }
         case ShardEvent::Kind::kBarrier: {
+          drain();
           Ack ack;
           ack.shard = shard_index;
           bool pushed = acks_.Push(std::move(ack));
@@ -262,6 +292,7 @@ void ParallelExecutor::WorkerLoop(int shard_index) {
       }
     }
     batch.clear();
+    drain();
     // Consumer-side refresh: the depth gauge must fall back to zero when
     // the worker catches up even if the coordinator stopped flushing, or
     // the watchdog would see phantom backlog on an idle shard.
@@ -269,6 +300,7 @@ void ParallelExecutor::WorkerLoop(int shard_index) {
       telemetry_->SetQueueDepth(track, s.feed.SizeApprox());
     }
   }
+  drain();
 }
 
 }  // namespace jisc

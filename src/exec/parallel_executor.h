@@ -54,6 +54,17 @@ class TelemetryRegistry;
 // bounded MPSC queue. Shutdown closes every feed and joins the workers
 // after they drain.
 //
+// Output: the downstream sink is wrapped in one LockedSink, and each shard
+// engine writes to its own outbox in front of it, which only that shard's
+// worker touches. An output goes straight to the sink when the outbox is
+// empty and the sink's lock is free; otherwise it is queued, and the
+// worker delivers the whole queue under one lock hold after each batch,
+// before each ack, at kOutboxCap queued outputs and before it exits. An
+// idle shard's outputs therefore arrive at once, while contending shards
+// take the lock once per batch instead of once per output. Each key lives
+// in one shard and a queued output is never overtaken by a direct one, so
+// per-key delivery order is the single-threaded engine's.
+//
 // Hand-off is adaptive: the coordinator sends a shard's pending events as
 // soon as that shard's feed is empty (its worker has taken everything sent
 // so far), and otherwise once batch_size events have accumulated. An idle
@@ -91,16 +102,21 @@ class ParallelExecutor : public StreamProcessor {
     uint64_t straggler_stall_every = 64;
   };
 
-  // Builds the worker for one shard. `shard_sink` delivers the shard's
-  // outputs (already safe for concurrent use); the returned processor must
+  // Most outputs a shard's outbox queues before it delivers them: bounds
+  // the outbox under a hot key's fan-out (see "Output" above).
+  static constexpr size_t kOutboxCap = 256;
+
+  // Builds the worker for one shard. `shard_sink` is the shard's outbox
+  // (written only by that shard's worker); the returned processor must
   // support PushExpiry (external-expiry mode).
   using ShardFactory =
       std::function<std::unique_ptr<StreamProcessor>(Sink* shard_sink,
                                                      int shard)>;
 
   // `sink` is the downstream consumer of the merged output stream; it is
-  // wrapped in an internal LockedSink shared by all shards. Pass nullptr
-  // when the factory wires its own (per-shard) sinks. `obs` (nullptr = off)
+  // wrapped in an internal LockedSink, which each shard reaches through its
+  // own outbox (see "Output" above). Pass nullptr when the factory wires
+  // its own (per-shard) sinks. `obs` (nullptr = off)
   // is the observability bundle: the coordinator records its
   // broadcast/barrier spans on track 0; shard processors (wired by the
   // factory) record on track shard + 1 into the same bundle.
@@ -155,9 +171,36 @@ class ParallelExecutor : public StreamProcessor {
     Status status;
   };
 
+  // A shard's output buffer in front of the shared LockedSink, written and
+  // drained only by the shard's worker (see "Output" above).
+  class Outbox : public Sink {
+   public:
+    explicit Outbox(LockedSink* sink) : sink_(sink) {}
+
+    void OnOutput(const Tuple& tuple, Stamp stamp) override {
+      Add(tuple, stamp, /*retract=*/false);
+    }
+    void OnRetract(const Tuple& tuple, Stamp stamp) override {
+      Add(tuple, stamp, /*retract=*/true);
+    }
+
+    // Delivers everything queued under one lock hold.
+    void Drain();
+
+   private:
+    void Add(const Tuple& tuple, Stamp stamp, bool retract);
+
+    LockedSink* const sink_;
+    // Slots [0, size_) are queued; later slots keep their tuples' storage
+    // for reuse, so a steady stream of queued outputs allocates nothing.
+    std::vector<LockedSink::Delivery> slots_;
+    size_t size_ = 0;
+  };
+
   struct Shard {
     explicit Shard(size_t queue_capacity) : feed(queue_capacity) {}
     SpscQueue<EventBatch> feed;  // coordinator -> worker (single producer)
+    std::unique_ptr<Outbox> outbox;  // nullptr when the factory wires sinks
     std::unique_ptr<StreamProcessor> processor;
     EventBatch pending;  // coordinator-side batch under construction
     int index = -1;      // telemetry track = index + 1

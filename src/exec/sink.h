@@ -212,23 +212,48 @@ class OutputDelaySink : public Sink {
 // Serializing adapter: makes any single-threaded sink safe to share across
 // the shards of a parallel executor. Deliveries are mutually excluded, so
 // the downstream sink observes a linearized output stream (ordering across
-// shards is unspecified; within a shard it is preserved). The downstream
-// sink is reached only through the pt-guarded pointer, so the compiler
-// rejects any future delivery path that forgets the lock.
-class LockedSink : public Sink {
+// shards is unspecified; within a caller's sequence of deliveries it is
+// preserved). The downstream sink is reached only through the pt-guarded
+// pointer, so the compiler rejects any future delivery path that forgets
+// the lock.
+class LockedSink {
  public:
+  // One output or retraction held back for a later DeliverAll.
+  struct Delivery {
+    Tuple tuple;
+    Stamp stamp = 0;
+    bool retract = false;
+  };
+
   explicit LockedSink(Sink* downstream) : downstream_(downstream) {}
 
-  void OnOutput(const Tuple& tuple, Stamp stamp) override {
-    MutexLock lk(&mu_);
-    downstream_->OnOutput(tuple, stamp);
+  // Delivers at once when no other thread holds the lock; otherwise
+  // delivers nothing and returns false.
+  bool TryDeliver(const Tuple& tuple, Stamp stamp, bool retract) {
+    if (!mu_.TryLock()) return false;
+    Forward(tuple, stamp, retract);
+    mu_.Unlock();
+    return true;
   }
-  void OnRetract(const Tuple& tuple, Stamp stamp) override {
+
+  // Delivers `count` deliveries in order under one lock hold.
+  void DeliverAll(const Delivery* deliveries, size_t count) {
     MutexLock lk(&mu_);
-    downstream_->OnRetract(tuple, stamp);
+    for (size_t i = 0; i < count; ++i) {
+      Forward(deliveries[i].tuple, deliveries[i].stamp, deliveries[i].retract);
+    }
   }
 
  private:
+  void Forward(const Tuple& tuple, Stamp stamp, bool retract)
+      JISC_REQUIRES(mu_) {
+    if (retract) {
+      downstream_->OnRetract(tuple, stamp);
+    } else {
+      downstream_->OnOutput(tuple, stamp);
+    }
+  }
+
   Sink* const downstream_ JISC_PT_GUARDED_BY(mu_);
   Mutex mu_;
 };

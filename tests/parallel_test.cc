@@ -11,9 +11,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bounded_queue.h"
@@ -704,6 +707,166 @@ TEST(ParallelExecutorTest, IdleExecutorDeliversWithoutBarrier) {
   EXPECT_TRUE(poll([&] { return sink.outputs() == expected; }))
       << "outputs of an idle executor must arrive without a Barrier; got "
       << sink.outputs() << " of " << expected;
+}
+
+// --- shard outboxes ---------------------------------------------------------
+
+// Every key's deliveries in arrival order: (is retraction, identity).
+using KeyOrder = std::map<JoinKey, std::vector<std::pair<bool, uint64_t>>>;
+
+// Records each key's delivery sequence. Once armed, it holds the next
+// delivery until `hold_done` returns true (or a deadline passes); the
+// parallel executor's sink lock stays held meanwhile, so the other shards'
+// deliveries queue in their outboxes behind it.
+class KeyOrderSink : public Sink {
+ public:
+  void OnOutput(const Tuple& tuple, Stamp) override { Record(tuple, false); }
+  void OnRetract(const Tuple& tuple, Stamp) override { Record(tuple, true); }
+
+  void HoldNextDeliveryUntil(std::function<bool()> done) {
+    hold_done_ = std::move(done);
+  }
+  bool hold_reached() const { return hold_reached_; }
+  // Outputs and retractions received so far.
+  uint64_t deliveries() const { return deliveries_; }
+  const KeyOrder& order() const { return order_; }
+
+ private:
+  void Record(const Tuple& tuple, bool retract) {
+    if (hold_done_ != nullptr) {
+      std::function<bool()> done = std::move(hold_done_);
+      hold_done_ = nullptr;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!done() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      hold_reached_ = done();
+    }
+    order_[tuple.key()].emplace_back(retract, tuple.IdentityHash());
+    ++deliveries_;
+  }
+
+  std::function<bool()> hold_done_;
+  bool hold_reached_ = false;
+  uint64_t deliveries_ = 0;
+  KeyOrder order_;
+};
+
+// UniformWorkload whose tuples in [hot_begin, hot_end) are re-keyed
+// round-robin onto keys 0..hot_keys-1, each joining many partners.
+std::vector<BaseTuple> HotKeyWorkload(int streams, uint64_t window,
+                                      size_t count, size_t hot_begin,
+                                      size_t hot_end, uint64_t hot_keys,
+                                      uint64_t seed) {
+  auto tuples = UniformWorkload(streams, window, count, seed);
+  for (size_t i = hot_begin; i < hot_end; ++i) {
+    tuples[i].key = static_cast<JoinKey>((i / streams) % hot_keys);
+  }
+  return tuples;
+}
+
+// The single-threaded engine's per-key delivery order for `tuples`.
+KeyOrder SingleThreadedKeyOrder(const LogicalPlan& plan,
+                                const WindowSpec& windows,
+                                const std::vector<BaseTuple>& tuples) {
+  KeyOrderSink sink;
+  auto oracle = MakeSharded(ProcessorKind::kJisc, plan, windows, &sink, 1);
+  for (const BaseTuple& t : tuples) oracle->Push(t);
+  return sink.order();
+}
+
+void ExpectSameKeyOrder(const KeyOrder& got, const KeyOrder& expected) {
+  ASSERT_EQ(got.size(), expected.size());
+  for (const auto& [key, deliveries] : expected) {
+    auto it = got.find(key);
+    ASSERT_NE(it, got.end()) << "key " << key;
+    EXPECT_EQ(it->second, deliveries) << "key " << key << " reordered";
+  }
+}
+
+TEST(ParallelExecutorTest, PerKeyDeliveryOrderMatchesSingleThreaded) {
+  // Four shards contend for the sink through a hot-key phase; a queued
+  // output overtaken by a later direct one of the same shard would show as
+  // a reordered key.
+  int streams = 3;
+  uint64_t window = 30;
+  LogicalPlan plan =
+      LogicalPlan::LeftDeep(IdentityOrder(streams), OpKind::kHashJoin);
+  WindowSpec windows = WindowSpec::Uniform(streams, window);
+  auto tuples = HotKeyWorkload(streams, window, 3000, 1000, 2000,
+                               /*hot_keys=*/4, /*seed=*/21);
+  const KeyOrder expected = SingleThreadedKeyOrder(plan, windows, tuples);
+  KeyOrderSink sink;
+  auto proc = MakeSharded(ProcessorKind::kJisc, plan, windows, &sink, 4);
+  for (const BaseTuple& t : tuples) proc->Push(t);
+  dynamic_cast<ParallelExecutor&>(*proc).Barrier();
+  ExpectSameKeyOrder(sink.order(), expected);
+}
+
+TEST(ParallelExecutorTest, DestroyWithoutBarrierDeliversEveryOutput) {
+  int streams = 3;
+  uint64_t window = 30;
+  LogicalPlan plan =
+      LogicalPlan::LeftDeep(IdentityOrder(streams), OpKind::kHashJoin);
+  WindowSpec windows = WindowSpec::Uniform(streams, window);
+  auto tuples = HotKeyWorkload(streams, window, 2000, 1000, 1500,
+                               /*hot_keys=*/4, /*seed=*/23);
+  CountingSink oracle_sink;
+  auto oracle =
+      MakeSharded(ProcessorKind::kJisc, plan, windows, &oracle_sink, 1);
+  for (const BaseTuple& t : tuples) oracle->Push(t);
+  ASSERT_GT(oracle_sink.outputs(), 0u);
+
+  CountingSink sink;
+  auto proc = MakeSharded(ProcessorKind::kJisc, plan, windows, &sink, 4);
+  for (const BaseTuple& t : tuples) proc->Push(t);
+  proc.reset();  // no Barrier: the shutdown path alone must catch up
+  EXPECT_EQ(sink.outputs(), oracle_sink.outputs());
+  EXPECT_EQ(sink.retractions(), oracle_sink.retractions());
+}
+
+TEST(ParallelExecutorTest, HighFanOutCrossesOutboxCap) {
+  // Two hot keys, one on each of two shards (keys 0 and 1 hash apart),
+  // fill every window with window/2 tuples each. From then on each event,
+  // arrival or expiry, delivers about (window/2)^2 results, above
+  // kOutboxCap. The first delivery after the warm-up holds the sink lock
+  // until the other shard has queued kOutboxCap deliveries behind it, so
+  // that shard drains at the cap in the middle of an event.
+  int streams = 3;
+  uint64_t window = 48;
+  LogicalPlan plan =
+      LogicalPlan::LeftDeep(IdentityOrder(streams), OpKind::kHashJoin);
+  WindowSpec windows = WindowSpec::Uniform(streams, window);
+  const size_t warm = static_cast<size_t>(streams) * window;
+  auto tuples = HotKeyWorkload(streams, window, warm + 4 * streams, 0,
+                               warm + 4 * streams, /*hot_keys=*/2,
+                               /*seed=*/29);
+  const KeyOrder expected = SingleThreadedKeyOrder(plan, windows, tuples);
+  ProcessorConfig config;
+  config.parallelism = 2;
+  KeyOrderSink sink;
+  auto proc = MakeEngineProcessor(
+      plan, windows, &sink, [] { return MakeJiscStrategy(); }, config);
+  auto* parallel = dynamic_cast<ParallelExecutor*>(proc.get());
+  ASSERT_NE(parallel, nullptr);
+  for (size_t i = 0; i < warm; ++i) proc->Push(tuples[i]);
+  parallel->Barrier();  // everything so far is delivered
+  // Runs on the held worker. Engines count an output or retraction before
+  // handing it to their sink, so what was emitted but not yet delivered is
+  // the held delivery plus the other shard's outbox, which holds
+  // kOutboxCap entries exactly when that shard has drained at the cap and
+  // waits for the lock.
+  sink.HoldNextDeliveryUntil([parallel, &sink] {
+    const Metrics m = parallel->MetricsApprox();
+    return m.outputs + m.retractions >=
+           sink.deliveries() + 1 + ParallelExecutor::kOutboxCap;
+  });
+  for (size_t i = warm; i < tuples.size(); ++i) proc->Push(tuples[i]);
+  parallel->Barrier();
+  EXPECT_TRUE(sink.hold_reached())
+      << "the unheld shard never queued kOutboxCap deliveries";
+  ExpectSameKeyOrder(sink.order(), expected);
 }
 
 TEST(ParallelExecutorTest, BackpressureSurvivesTinyQueues) {
