@@ -63,11 +63,11 @@ void StreamScan::OnArrival(const BaseTuple& base, ExecContext* ctx) {
     fresh = ctx->freshness->ClassifyAndMark(stream_, base.key);
   }
   Tuple t = Tuple::FromBase(base, ctx->stamp, fresh);
-  // Emit first, then move into the window state: an entry inserted at
-  // stamp s is invisible to every probe at stamp s (Entry::VisibleAt), so
-  // no probe in the cascade could have seen it.
+  // Emit first, then store in the window state: an entry inserted at
+  // stamp s is invisible to every probe at stamp s (RecordHead::VisibleAt),
+  // so no probe in the cascade could have seen it.
   EmitData(t, ctx);
-  state_->Insert(std::move(t), ctx->stamp);
+  state_->Insert(t, ctx->stamp);
   if (ctx->metrics != nullptr) ++ctx->metrics->inserts;
 }
 

@@ -31,12 +31,12 @@ void SymmetricHashJoin::OnData(const Tuple& tuple, Side from,
   }
   for (const Tuple* m : matches_) {
     Tuple out = Tuple::Concat(tuple, *m, ctx->stamp, tuple.fresh());
-    // Emit first, then move into this state: an entry inserted at stamp s
-    // is invisible to every probe at stamp s (Entry::VisibleAt), so no
-    // probe in the cascade could have seen it.
+    // Emit first, then store in this state: an entry inserted at stamp s
+    // is invisible to every probe at stamp s (RecordHead::VisibleAt), so
+    // no probe in the cascade could have seen it.
     EmitData(out, ctx);
     if (timed) t0 = ctx->obs->trace.NowNs();
-    state_->Insert(std::move(out), ctx->stamp);
+    state_->Insert(out, ctx->stamp);
     if (timed) ctx->obs->insert_ns.Record(ctx->obs->trace.NowNs() - t0);
     if (ctx->metrics != nullptr) ++ctx->metrics->inserts;
   }

@@ -123,9 +123,9 @@ Status ValidateExecutorInvariants(PipelineExecutor& exec,
 
 uint64_t StateBytes(const OperatorState& st) {
   uint64_t bytes = 0;
+  // One record per live entry, as wide as the parts it actually stores.
   st.ForEachLive([&](const Tuple& t) {
-    bytes += sizeof(Tuple) + 2 * sizeof(Stamp);     // entry
-    bytes += t.parts().size() * sizeof(BaseTuple);  // parts storage
+    bytes += OperatorState::RecordBytes(t.parts().size());
   });
   return bytes + st.TableBytes();  // bucket table slots
 }

@@ -20,9 +20,9 @@ namespace jisc {
 Status ValidateExecutorInvariants(PipelineExecutor& exec,
                                   const ThetaSpec& theta = ThetaSpec());
 
-// Approximate resident bytes of one state: its live entries and their
-// parts, plus the bucket table's slot array (OperatorState::TableBytes()).
-// Equals st.ApproxBytes().
+// Approximate resident bytes of one state: one record per live entry, as
+// wide as the parts it stores (OperatorState::RecordBytes), plus the bucket
+// table's slot array (OperatorState::TableBytes()). Equals st.ApproxBytes().
 uint64_t StateBytes(const OperatorState& st);
 
 // Approximate resident bytes of every operator state of an executor. Used

@@ -28,11 +28,15 @@ void Histogram::Reset() {
 }
 
 void Histogram::CopyFrom(const Histogram& o) {
+  // The copy's count is the total of the cells it copied, not o.count_,
+  // so the copy's count and quantiles agree even while o is recorded into.
+  uint64_t total = 0;
   for (int i = 0; i < kBuckets; ++i) {
-    buckets_[i].store(o.buckets_[i].load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
+    uint64_t n = o.buckets_[i].load(std::memory_order_relaxed);
+    buckets_[i].store(n, std::memory_order_relaxed);
+    total += n;
   }
-  count_.store(o.count(), std::memory_order_relaxed);
+  count_.store(total, std::memory_order_relaxed);
   sum_.store(o.sum(), std::memory_order_relaxed);
   max_.store(o.max(), std::memory_order_relaxed);
 }

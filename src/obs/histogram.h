@@ -25,11 +25,16 @@ namespace jisc {
 // overflow() exposes the count so callers can tell saturation from signal.
 //
 // Consistency contract (same as Metrics::Counter): individual cell reads
-// are race-free, but a snapshot taken while writers are hot is not a
-// cross-cell-consistent cut — count()/Quantile() may disagree transiently
-// by in-flight records. Each cell is monotone, so quantiles from successive
-// snapshots never move backwards due to the snapshot itself. Reset() is the
-// one non-concurrent entry point: callers must quiesce writers first.
+// are race-free, but reads of a histogram while writers are hot are not a
+// cross-cell-consistent cut — count()/Quantile() on the live instance may
+// disagree transiently by in-flight records. A copy is self-consistent in
+// its bucket cells: its count() is the total of the cells it copied, so
+// Quantile() of a copy with count() > 0 falls in a non-empty cell (its
+// sum() and max() are read separately and may still lag or lead by
+// in-flight records). Each cell is monotone, so the counts and quantiles
+// of successive copies never move backwards due to the copy itself.
+// Reset() is the one non-concurrent entry point: callers must quiesce
+// writers first.
 class Histogram {
  public:
   static constexpr int kSubBits = 4;                    // 16 sub-buckets

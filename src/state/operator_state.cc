@@ -1,6 +1,8 @@
 #include "state/operator_state.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
@@ -10,17 +12,96 @@ namespace jisc {
 OperatorState::OperatorState(StreamSet id, StateIndex index)
     : id_(id), index_(index) {}
 
+void OperatorState::IdList::push_back(RecordId id) {
+  if (size_ == cap_) {
+    RecordId* grown = new RecordId[2 * cap_];
+    std::copy(begin(), end(), grown);
+    if (on_heap()) delete[] heap_;
+    heap_ = grown;
+    cap_ *= 2;
+  }
+  data()[size_++] = id;
+}
+
+void OperatorState::IdList::Free() {
+  if (on_heap()) delete[] heap_;
+  size_ = 0;
+  cap_ = kInline;
+}
+
+void OperatorState::IdList::TakeFrom(IdList* other) {
+  size_ = other->size_;
+  cap_ = other->cap_;
+  if (other->on_heap()) {
+    heap_ = other->heap_;
+  } else {
+    std::copy(other->inline_, other->inline_ + size_, inline_);
+  }
+  other->size_ = 0;
+  other->cap_ = kInline;
+}
+
 std::unique_ptr<OperatorState> OperatorState::Clone() const {
   auto copy = std::make_unique<OperatorState>(id_, index_);
   for (const auto& [k, b] : buckets_) {
-    (void)k;
-    for (const Entry& e : b.entries) {
-      if (e.live()) copy->Insert(e.tuple, e.insert_stamp);
+    for (RecordId id : b.ids) {
+      const RecordHead& h = Head(id);
+      if (h.live()) copy->Append(k, RecordParts(id), width_, h.insert_stamp);
     }
   }
   copy->complete_ = complete_;
   copy->completed_keys_ = completed_keys_;
   return copy;
+}
+
+bool OperatorState::RecordContainsSeq(RecordId id, Seq seq) const {
+  const BaseTuple* parts = RecordParts(id);
+  for (size_t i = 0; i < width_; ++i) {
+    if (parts[i].seq == seq) return true;
+  }
+  return false;
+}
+
+bool OperatorState::RecordEquals(RecordId id, Tuple::Parts parts) const {
+  if (parts.size() != width_) return false;
+  const BaseTuple* mine = RecordParts(id);
+  for (size_t i = 0; i < width_; ++i) {
+    if (mine[i].seq != parts[i].seq) return false;
+  }
+  return true;
+}
+
+void OperatorState::Materialize(RecordId id, Tuple* out) const {
+  out->AssignSorted(RecordParts(id), width_, Head(id).insert_stamp);
+}
+
+void OperatorState::Append(JoinKey key, const BaseTuple* parts, size_t width,
+                           Stamp insert_stamp) {
+  if (stride_ == 0 || width != width_) {
+    // Every combination a state stores has the same width: the first
+    // record sets the stride, fixed while any record is held.
+    JISC_CHECK(width > 0 && slab_.size() == free_ids_.size() * stride_);
+    slab_.clear();
+    free_ids_.clear();
+    width_ = width;
+    stride_ = RecordBytes(width);
+  }
+  RecordId id;
+  if (!free_ids_.empty()) {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+  } else {
+    const size_t records = slab_.size() / stride_;
+    JISC_CHECK(records < std::numeric_limits<RecordId>::max());
+    id = static_cast<RecordId>(records);
+    slab_.resize(slab_.size() + stride_);
+  }
+  std::byte* rec = slab_.data() + id * stride_;
+  new (rec) RecordHead{insert_stamp, kStampInfinity};
+  std::memcpy(rec + sizeof(RecordHead), parts, width * sizeof(BaseTuple));
+  Bucket& b = buckets_[key];
+  b.ids.push_back(id);
+  NoteInsert(&b);
 }
 
 void OperatorState::NoteInsert(Bucket* b) {
@@ -42,15 +123,11 @@ void OperatorState::NoteRemove(JoinKey key, Bucket* b) {
   }
 }
 
-bool OperatorState::Insert(Tuple tuple, Stamp insert_stamp, bool dedup) {
-  Bucket& b = buckets_[tuple.key()];
-  if (dedup) {
-    for (const Entry& e : b.entries) {
-      if (e.live() && e.tuple == tuple) return false;
-    }
-  }
-  b.entries.push_back(Entry{std::move(tuple), insert_stamp});
-  NoteInsert(&b);
+bool OperatorState::Insert(const Tuple& tuple, Stamp insert_stamp,
+                           bool dedup) {
+  const Tuple::Parts parts = tuple.parts();
+  if (dedup && ContainsExactLive(tuple)) return false;
+  Append(tuple.key(), parts.data(), parts.size(), insert_stamp);
   return true;
 }
 
@@ -58,11 +135,12 @@ int OperatorState::RemoveContaining(Seq seq, JoinKey key, Stamp remove_stamp,
                                     std::vector<Tuple>* removed) {
   int count = 0;
   auto scan_bucket = [&](JoinKey k, Bucket& b) {
-    for (Entry& e : b.entries) {
-      if (e.live() && e.tuple.ContainsSeq(seq)) {
-        e.remove_stamp = remove_stamp;
+    for (RecordId id : b.ids) {
+      RecordHead& h = Head(id);
+      if (h.live() && RecordContainsSeq(id, seq)) {
+        h.remove_stamp = remove_stamp;
         NoteRemove(k, &b);
-        if (removed != nullptr) removed->push_back(e.tuple);
+        if (removed != nullptr) Materialize(id, &removed->emplace_back());
         ++count;
       }
     }
@@ -81,9 +159,10 @@ int OperatorState::RemoveContaining(Seq seq, JoinKey key, Stamp remove_stamp,
 bool OperatorState::RemoveExact(const Tuple& tuple, Stamp remove_stamp) {
   auto it = buckets_.find(tuple.key());
   if (it == buckets_.end()) return false;
-  for (Entry& e : it->second.entries) {
-    if (e.live() && e.tuple == tuple) {
-      e.remove_stamp = remove_stamp;
+  for (RecordId id : it->second.ids) {
+    RecordHead& h = Head(id);
+    if (h.live() && RecordEquals(id, tuple.parts())) {
+      h.remove_stamp = remove_stamp;
       NoteRemove(tuple.key(), &it->second);
       return true;
     }
@@ -92,10 +171,11 @@ bool OperatorState::RemoveExact(const Tuple& tuple, Stamp remove_stamp) {
 }
 
 void OperatorState::VacuumBucket(Bucket* bucket) {
-  auto& entries = bucket->entries;
-  entries.erase(std::remove_if(entries.begin(), entries.end(),
-                               [](const Entry& e) { return !e.live(); }),
-                entries.end());
+  bucket->ids.RemoveIf([this](RecordId id) {
+    if (Head(id).live()) return false;
+    free_ids_.push_back(id);
+    return true;
+  });
   bucket->dirty = false;
 }
 
@@ -105,7 +185,7 @@ void OperatorState::Vacuum() {
   std::vector<JoinKey> emptied;
   for (auto& [k, b] : buckets_) {
     VacuumBucket(&b);
-    if (b.entries.empty()) emptied.push_back(k);
+    if (b.ids.empty()) emptied.push_back(k);
   }
   for (JoinKey k : emptied) buckets_.erase(k);
   dirty_keys_.clear();
@@ -116,14 +196,17 @@ void OperatorState::VacuumDirty() {
     auto it = buckets_.find(key);
     if (it == buckets_.end()) continue;
     VacuumBucket(&it->second);
-    if (it->second.entries.empty()) buckets_.erase(it);
+    if (it->second.ids.empty()) buckets_.erase(it);
   }
   dirty_keys_.clear();
 }
 
 void OperatorState::Clear() {
   buckets_.clear();
+  slab_.clear();
+  free_ids_.clear();
   dirty_keys_.clear();
+  probe_scratch_.clear();
   live_size_ = 0;
   live_keys_ = 0;
   completed_keys_.clear();
@@ -133,8 +216,8 @@ void OperatorState::CollectMatches(JoinKey key, Stamp p,
                                    std::vector<Tuple>* out) const {
   auto it = buckets_.find(key);
   if (it == buckets_.end()) return;
-  for (const Entry& e : it->second.entries) {
-    if (e.VisibleAt(p)) out->push_back(e.tuple);
+  for (RecordId id : it->second.ids) {
+    if (Head(id).VisibleAt(p)) Materialize(id, &out->emplace_back());
   }
 }
 
@@ -142,57 +225,70 @@ void OperatorState::CollectMatchPtrs(JoinKey key, Stamp p,
                                      std::vector<const Tuple*>* out) const {
   auto it = buckets_.find(key);
   if (it == buckets_.end()) return;
-  for (const Entry& e : it->second.entries) {
-    if (e.VisibleAt(p)) out->push_back(&e.tuple);
+  size_t n = 0;
+  for (RecordId id : it->second.ids) {
+    if (!Head(id).VisibleAt(p)) continue;
+    if (n == probe_scratch_.size()) probe_scratch_.emplace_back();
+    Materialize(id, &probe_scratch_[n++]);
   }
+  // Taken after the loop: growing the scratch moves its tuples.
+  for (size_t i = 0; i < n; ++i) out->push_back(&probe_scratch_[i]);
 }
 
 void OperatorState::ForEachVisible(
     Stamp p, const std::function<void(const Tuple&)>& fn) const {
+  Tuple t;
   for (const auto& [k, b] : buckets_) {
     (void)k;
-    for (const Entry& e : b.entries) {
-      if (e.VisibleAt(p)) fn(e.tuple);
+    for (RecordId id : b.ids) {
+      if (!Head(id).VisibleAt(p)) continue;
+      Materialize(id, &t);
+      fn(t);
     }
   }
 }
 
 void OperatorState::ForEachLive(
     const std::function<void(const Tuple&)>& fn) const {
+  Tuple t;
   for (const auto& [k, b] : buckets_) {
     (void)k;
-    for (const Entry& e : b.entries) {
-      if (e.live()) fn(e.tuple);
+    for (RecordId id : b.ids) {
+      if (!Head(id).live()) continue;
+      Materialize(id, &t);
+      fn(t);
     }
   }
 }
 
 void OperatorState::ForEachLiveEntryCanonical(
     const std::function<void(const Tuple&, Stamp)>& fn) const {
-  std::vector<std::pair<const Entry*, Stamp>> live;
+  std::vector<RecordId> live;
   live.reserve(live_size_);
   // jisc-verify: allow(determinism) — gathered entries are sorted below
   for (const auto& [k, b] : buckets_) {
     (void)k;
-    for (const Entry& e : b.entries) {
-      if (e.live()) live.emplace_back(&e, e.insert_stamp);
+    for (RecordId id : b.ids) {
+      if (Head(id).live()) live.push_back(id);
     }
   }
-  std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second < b.second;
-              const auto& ap = a.first->tuple.parts();
-              const auto& bp = b.first->tuple.parts();
-              if (ap.size() != bp.size()) return ap.size() < bp.size();
-              for (size_t i = 0; i < ap.size(); ++i) {
-                if (ap[i].seq != bp[i].seq) return ap[i].seq < bp[i].seq;
-                if (ap[i].stream != bp[i].stream) {
-                  return ap[i].stream < bp[i].stream;
-                }
-              }
-              return false;
-            });
-  for (const auto& [e, stamp] : live) fn(e->tuple, stamp);
+  std::sort(live.begin(), live.end(), [this](RecordId a, RecordId b) {
+    const Stamp as = Head(a).insert_stamp;
+    const Stamp bs = Head(b).insert_stamp;
+    if (as != bs) return as < bs;
+    const BaseTuple* ap = RecordParts(a);
+    const BaseTuple* bp = RecordParts(b);
+    for (size_t i = 0; i < width_; ++i) {
+      if (ap[i].seq != bp[i].seq) return ap[i].seq < bp[i].seq;
+      if (ap[i].stream != bp[i].stream) return ap[i].stream < bp[i].stream;
+    }
+    return false;
+  });
+  Tuple t;
+  for (RecordId id : live) {
+    Materialize(id, &t);
+    fn(t, Head(id).insert_stamp);
+  }
 }
 
 bool OperatorState::ContainsKeyLive(JoinKey key) const {
@@ -204,8 +300,8 @@ void OperatorState::CollectLiveByKey(JoinKey key,
                                      std::vector<Tuple>* out) const {
   auto it = buckets_.find(key);
   if (it == buckets_.end()) return;
-  for (const Entry& e : it->second.entries) {
-    if (e.live()) out->push_back(e.tuple);
+  for (RecordId id : it->second.ids) {
+    if (Head(id).live()) Materialize(id, &out->emplace_back());
   }
 }
 
@@ -213,29 +309,27 @@ void OperatorState::CollectLiveByKeyWithStamps(
     JoinKey key, std::vector<std::pair<Tuple, Stamp>>* out) const {
   auto it = buckets_.find(key);
   if (it == buckets_.end()) return;
-  for (const Entry& e : it->second.entries) {
-    if (e.live()) out->emplace_back(e.tuple, e.insert_stamp);
+  for (RecordId id : it->second.ids) {
+    const RecordHead& h = Head(id);
+    if (!h.live()) continue;
+    Materialize(id, &out->emplace_back(Tuple(), h.insert_stamp).first);
   }
 }
 
 bool OperatorState::ContainsExactLive(const Tuple& tuple) const {
   auto it = buckets_.find(tuple.key());
   if (it == buckets_.end()) return false;
-  for (const Entry& e : it->second.entries) {
-    if (e.live() && e.tuple == tuple) return true;
+  for (RecordId id : it->second.ids) {
+    if (Head(id).live() && RecordEquals(id, tuple.parts())) return true;
   }
   return false;
 }
 
 uint64_t OperatorState::ApproxBytes() const {
-  // Mirrors exec/validate.cc StateBytes: per live entry the combination
-  // record plus its insert/remove stamps plus `arity` base-tuple parts, and
-  // the bucket table's slot array. Exact for this state layout because
-  // every combination of a subtree has the same width.
-  const uint64_t arity = static_cast<uint64_t>(id_.size());
-  const uint64_t per_entry =
-      sizeof(Tuple) + 2 * sizeof(Stamp) + arity * sizeof(BaseTuple);
-  return static_cast<uint64_t>(live_size_) * per_entry + TableBytes();
+  // Mirrors exec/validate.cc StateBytes: one record per live entry, and the
+  // bucket table's slot array.
+  return static_cast<uint64_t>(live_size_) * RecordBytes(width_) +
+         TableBytes();
 }
 
 std::vector<JoinKey> OperatorState::LiveKeys() const {

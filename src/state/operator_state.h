@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -35,13 +36,20 @@ enum class StateIndex {
 // output independent of intra-event scheduling. Removed entries are
 // physically erased by Vacuum(), which the engine calls between events.
 //
-// Layout: entries are grouped into per-key buckets, each a contiguous
-// vector in insertion order, held in one open-addressing FlatMap keyed by
-// the join attribute (common/flat_map.h). A bucket is queued for vacuum
-// once per cycle however many of its entries are removed, so vacuum work is
-// linear in the size of the touched buckets. Insert takes the combination
-// by value and moves it into its entry: operators emit a new combination
-// first and then move it into their own state, one copy per combination.
+// Layout: each entry is a fixed-stride record in one slab per state: its
+// insert and remove stamps, then the combination's parts inline. The
+// stride is the width the state stores, taken from its first insert: a
+// join state stores combinations of all id().size() streams, but a semi
+// join or set difference stores its outer tuples, which are narrower.
+// Vacuumed record ids are reused. Records are grouped into per-key
+// buckets, each an array of record ids in insertion order (up to two held
+// inline in the bucket), and the buckets live in one open-addressing
+// FlatMap keyed by the join attribute (common/flat_map.h). A bucket is
+// queued for vacuum once per cycle however many of its entries are
+// removed, so vacuum work is linear in the size of the touched buckets.
+// Insert copies the combination's parts into a record; reads rebuild a
+// Tuple from a record (birth = insert stamp, not fresh), which allocates
+// nothing for combinations of up to Tuple::kInlineParts streams.
 //
 // Completeness (Definition 1) is a property of the state tracked here as a
 // flag plus the set of join-attribute values whose entries have been
@@ -68,7 +76,7 @@ class OperatorState {
   // identical live combination already exists (required during JISC state
   // completion, where the cross product may regenerate combinations that
   // already flowed in after the transition). Returns true if inserted.
-  bool Insert(Tuple tuple, Stamp insert_stamp, bool dedup = false);
+  bool Insert(const Tuple& tuple, Stamp insert_stamp, bool dedup = false);
 
   // Tombstones every live combination containing base-tuple `seq` with key
   // `key` (expiry propagation). For hash states the search is confined to
@@ -102,18 +110,21 @@ class OperatorState {
   // Meaningful for kHash states.
   void CollectMatches(JoinKey key, Stamp p, std::vector<Tuple>* out) const;
 
-  // Pointer flavor for the probe hot path (no combination copies). The
-  // pointers are valid until the next mutation of this state; callers must
-  // consume them before inserting into or removing from it.
+  // Pointer flavor for the probe hot path: the matches are rebuilt into
+  // scratch tuples this state owns and reuses, so a warm probe allocates
+  // nothing. The pointers are valid until the next mutation of this state
+  // or its next CollectMatchPtrs call; callers must consume them first.
   void CollectMatchPtrs(JoinKey key, Stamp p,
                         std::vector<const Tuple*>* out) const;
 
   // Visits every entry visible at stamp p (nested-loops probe, state
-  // completion cross products).
+  // completion cross products). The tuple passed to `fn` is rebuilt for
+  // the call and is valid only during it; copy it to keep it.
   void ForEachVisible(Stamp p, const std::function<void(const Tuple&)>& fn) const;
 
   // Visits every live (not yet removed) entry regardless of stamp
   // (set-difference membership, Moving State eager computation, snapshots).
+  // As for ForEachVisible, the tuple is valid only during the call.
   void ForEachLive(const std::function<void(const Tuple&)>& fn) const;
 
   // Live entries with their insertion stamps, visited in a canonical
@@ -140,12 +151,17 @@ class OperatorState {
 
   // --- statistics ---
   size_t live_size() const { return live_size_; }
+  // Bytes of one record holding a combination of `width` parts: its two
+  // stamps and the parts.
+  static constexpr uint64_t RecordBytes(size_t width) {
+    return 2 * sizeof(Stamp) + width * sizeof(BaseTuple);
+  }
   // O(1) resident-bytes estimate from the incrementally-tracked counters:
-  // every live combination of this state is exactly id().size() parts wide,
-  // so entry + parts storage follow from live_size() alone, plus the bucket
-  // table's footprint (TableBytes()), as exec/validate.cc's exact walk
-  // charges. Cheap enough for the telemetry gauge refresh on the hot path's
-  // maintain cadence, where the ForEachLive walk is not.
+  // every record of this state has the same stride, so record storage
+  // follows from live_size() alone, plus the bucket table's footprint
+  // (TableBytes()), as exec/validate.cc's exact walk charges. Cheap enough
+  // for the telemetry gauge refresh on the hot path's maintain cadence,
+  // where the ForEachLive walk is not.
   uint64_t ApproxBytes() const;
   // Bytes of the bucket table itself: its capacity times the slot size.
   uint64_t TableBytes() const { return buckets_.table_bytes(); }
@@ -169,22 +185,95 @@ class OperatorState {
   std::string DebugString() const;
 
  private:
-  struct Entry {
-    Tuple tuple;
+  using RecordId = uint32_t;
+
+  // The fixed head of a record; the record's width_ parts follow it.
+  struct RecordHead {
     Stamp insert_stamp;
-    Stamp remove_stamp = kStampInfinity;
+    Stamp remove_stamp;
 
     bool live() const { return remove_stamp == kStampInfinity; }
     bool VisibleAt(Stamp p) const {
       return insert_stamp < p && p < remove_stamp;
     }
   };
+  static_assert(sizeof(RecordHead) == 2 * sizeof(Stamp));
+
+  // One bucket's record ids in insertion order: up to kInline inside the
+  // object (most buckets hold one or two records), more in a heap array.
+  class IdList {
+   public:
+    IdList() = default;
+    IdList(IdList&& other) noexcept { TakeFrom(&other); }
+    IdList& operator=(IdList&& other) noexcept {
+      if (this != &other) {
+        Free();
+        TakeFrom(&other);
+      }
+      return *this;
+    }
+    ~IdList() { Free(); }
+
+    const RecordId* begin() const { return data(); }
+    const RecordId* end() const { return data() + size_; }
+    bool empty() const { return size_ == 0; }
+
+    void push_back(RecordId id);
+
+    // Drops the ids for which `drop(id)` is true, keeping the order.
+    template <typename Pred>
+    void RemoveIf(Pred drop) {
+      RecordId* ids = data();
+      uint32_t kept = 0;
+      for (uint32_t i = 0; i < size_; ++i) {
+        if (!drop(ids[i])) ids[kept++] = ids[i];
+      }
+      size_ = kept;
+    }
+
+   private:
+    static constexpr uint32_t kInline = 2;
+
+    bool on_heap() const { return cap_ > kInline; }
+    RecordId* data() { return on_heap() ? heap_ : inline_; }
+    const RecordId* data() const { return on_heap() ? heap_ : inline_; }
+    void Free();
+    void TakeFrom(IdList* other);
+
+    uint32_t size_ = 0;
+    uint32_t cap_ = kInline;
+    union {
+      RecordId inline_[kInline] = {0, 0};
+      RecordId* heap_;
+    };
+  };
 
   struct Bucket {
-    std::vector<Entry> entries;
+    IdList ids;
     uint32_t live = 0;
     bool dirty = false;  // queued in dirty_keys_ for the next vacuum
   };
+
+  RecordHead& Head(RecordId id) {
+    return *std::launder(
+        reinterpret_cast<RecordHead*>(slab_.data() + id * stride_));
+  }
+  const RecordHead& Head(RecordId id) const {
+    return *std::launder(
+        reinterpret_cast<const RecordHead*>(slab_.data() + id * stride_));
+  }
+  const BaseTuple* RecordParts(RecordId id) const {
+    return std::launder(reinterpret_cast<const BaseTuple*>(
+        slab_.data() + id * stride_ + sizeof(RecordHead)));
+  }
+  bool RecordContainsSeq(RecordId id, Seq seq) const;
+  bool RecordEquals(RecordId id, Tuple::Parts parts) const;
+  // Rebuilds record `id` into *out, reusing its storage.
+  void Materialize(RecordId id, Tuple* out) const;
+
+  // Stores a new live record, reusing a freed id, in `key`'s bucket.
+  void Append(JoinKey key, const BaseTuple* parts, size_t width,
+              Stamp insert_stamp);
 
   void NoteInsert(Bucket* b);
   void NoteRemove(JoinKey key, Bucket* b);
@@ -193,8 +282,14 @@ class OperatorState {
 
   StreamSet id_;
   StateIndex index_;
+  size_t width_ = 0;   // parts per record, set by the first insert
+  size_t stride_ = 0;  // RecordBytes(width_); 0 before the first insert
+  std::vector<std::byte> slab_;
+  std::vector<RecordId> free_ids_;
   FlatMap<Bucket> buckets_;
   std::vector<JoinKey> dirty_keys_;
+  // CollectMatchPtrs' rebuilt matches, reused across probes.
+  mutable std::vector<Tuple> probe_scratch_;
   size_t live_size_ = 0;
   size_t live_keys_ = 0;
   bool complete_ = true;

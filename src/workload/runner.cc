@@ -41,10 +41,12 @@ LatencyResult MeasureTransitionLatency(StreamProcessor* proc,
   LatencyResult result;
   WallTimer total;
   {
+    const uint64_t work_before = proc->metrics().WorkUnits();
     WallTimer migration;
     Status s = proc->RequestTransition(new_plan);
     JISC_CHECK(s.ok()) << s.ToString();
     result.migration_seconds = migration.ElapsedSeconds();
+    result.migration_work_units = proc->metrics().WorkUnits() - work_before;
   }
   uint64_t outputs_before = sink->outputs();
   for (size_t i = 0; i < max_tuples; ++i) {

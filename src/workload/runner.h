@@ -39,6 +39,10 @@ ConsumeStats ConsumeRecorded(StreamProcessor* proc,
 // computation is included — exactly the latency the paper measures.
 struct LatencyResult {
   double migration_seconds = 0;   // inside RequestTransition
+  // WorkUnits() spent inside RequestTransition: Moving State's eager
+  // recomputation, nothing for JISC's lazy transition. Deterministic,
+  // unlike migration_seconds.
+  uint64_t migration_work_units = 0;
   double first_output_seconds = 0;  // trigger -> first output (>= migration)
   uint64_t tuples_until_output = 0;
 };

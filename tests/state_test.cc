@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <map>
+#include <memory>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "state/operator_state.h"
 
 namespace jisc {
@@ -219,6 +226,164 @@ TEST(OperatorStateComboTest, DebugStringMentionsCompleteness) {
   EXPECT_NE(st.DebugString().find("complete"), std::string::npos);
   st.MarkIncomplete();
   EXPECT_NE(st.DebugString().find("INCOMPLETE"), std::string::npos);
+}
+
+// An n-part combination over streams 0..n-1, every part with key k and
+// seqs first_seq, first_seq + 1, ...
+Tuple Combo(int n, JoinKey k, Seq first_seq) {
+  Tuple t = T(0, k, first_seq);
+  for (int s = 1; s < n; ++s) {
+    t = Tuple::Concat(t, T(static_cast<StreamId>(s), k, first_seq + s), 1,
+                      true);
+  }
+  return t;
+}
+
+std::vector<Seq> Seqs(const std::vector<const Tuple*>& tuples) {
+  std::vector<Seq> out;
+  for (const Tuple* t : tuples) out.push_back(t->parts()[0].seq);
+  return out;
+}
+
+// Probes return a key's entries in insertion order, whatever removals,
+// vacuums and record-id reuse came before: checked against a model after
+// every step of a random interleaving.
+TEST(OperatorStateLayoutTest, ProbeOrderIsInsertionOrderAcrossReuse) {
+  OperatorState st(StreamSet::Single(0), StateIndex::kHash);
+  std::map<JoinKey, std::vector<Seq>> model;  // live seqs, insertion order
+  std::mt19937_64 rng(7);
+  Seq next_seq = 1;
+  for (Stamp stamp = 1; stamp <= 3000; ++stamp) {
+    const JoinKey key = static_cast<JoinKey>(rng() % 3);
+    std::vector<Seq>& live = model[key];
+    const uint64_t op = rng() % 10;
+    if (op < 5 || live.empty()) {
+      st.Insert(T(0, key, next_seq), stamp);
+      live.push_back(next_seq++);
+    } else if (op < 9) {
+      const size_t victim = rng() % live.size();
+      ASSERT_EQ(st.RemoveContaining(live[victim], key, stamp, nullptr), 1);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    } else {
+      st.VacuumDirty();
+    }
+    for (const auto& [k, seqs] : model) {
+      std::vector<const Tuple*> ptrs;
+      st.CollectMatchPtrs(k, stamp + 1, &ptrs);
+      ASSERT_EQ(Seqs(ptrs), seqs) << "key " << k << " at stamp " << stamp;
+      std::vector<Tuple> live_tuples;
+      st.CollectLiveByKey(k, &live_tuples);
+      ASSERT_EQ(live_tuples.size(), seqs.size());
+    }
+  }
+  size_t total = 0;
+  for (const auto& [k, seqs] : model) total += seqs.size();
+  EXPECT_EQ(st.live_size(), total);
+}
+
+// Semi-join and set-difference states store outer tuples narrower than
+// their id(): the record stride follows the stored width.
+TEST(OperatorStateLayoutTest, NarrowEntries) {
+  OperatorState st(StreamSet(0b111), StateIndex::kHash);
+  EXPECT_TRUE(st.Insert(T(0, 5, 1), 1, /*dedup=*/true));
+  EXPECT_FALSE(st.Insert(T(0, 5, 1), 2, /*dedup=*/true));
+  EXPECT_TRUE(st.Insert(T(0, 6, 3), 2, /*dedup=*/true));
+  EXPECT_TRUE(st.Insert(T(0, 5, 2), 2, /*dedup=*/true));
+  EXPECT_EQ(st.live_size(), 3u);
+  EXPECT_EQ(st.ApproxBytes(),
+            3 * OperatorState::RecordBytes(1) + st.TableBytes());
+
+  EXPECT_TRUE(st.RemoveExact(T(0, 5, 1), 3));
+  EXPECT_FALSE(st.RemoveExact(T(0, 5, 1), 3));
+  EXPECT_FALSE(st.ContainsExactLive(T(0, 5, 1)));
+
+  std::unique_ptr<OperatorState> copy = st.Clone();
+  EXPECT_EQ(copy->id(), st.id());
+  EXPECT_EQ(copy->live_size(), 2u);
+  EXPECT_FALSE(copy->HasTombstones());
+  EXPECT_TRUE(copy->ContainsExactLive(T(0, 5, 2)));
+  EXPECT_FALSE(copy->ContainsExactLive(T(0, 5, 1)));
+  EXPECT_EQ(copy->ApproxBytes(),
+            2 * OperatorState::RecordBytes(1) + copy->TableBytes());
+
+  // Canonical walk: by insertion stamp, ties by part seq; stamps kept.
+  std::vector<std::pair<Seq, Stamp>> walked;
+  copy->ForEachLiveEntryCanonical([&](const Tuple& t, Stamp stamp) {
+    EXPECT_EQ(t.parts().size(), 1u);
+    EXPECT_EQ(t.streams(), StreamSet::Single(0));
+    walked.emplace_back(t.parts()[0].seq, stamp);
+  });
+  std::vector<std::pair<Seq, Stamp>> expect = {{2, 2}, {3, 2}};
+  EXPECT_EQ(walked, expect);
+}
+
+// Five- and six-part combinations spill their parts to the heap; state
+// records hold them inline at any width.
+TEST(OperatorStateLayoutTest, SpilledCombinations) {
+  for (int n : {5, 6}) {
+    SCOPED_TRACE(n);
+    Tuple a = Combo(n, 7, 100);
+    Tuple b = Combo(n, 7, 200);
+    ASSERT_EQ(a.parts().size(), static_cast<size_t>(n));
+    ASSERT_GT(a.parts().size(), Tuple::kInlineParts);
+    Tuple copied = a;
+    Tuple moved = std::move(copied);
+    EXPECT_EQ(moved, a);
+    EXPECT_EQ(moved.streams(), StreamSet((1ULL << n) - 1));
+
+    OperatorState st(StreamSet((1ULL << n) - 1), StateIndex::kHash);
+    st.Insert(a, 1);
+    st.Insert(b, 1);
+    EXPECT_TRUE(st.ContainsExactLive(a));
+    EXPECT_FALSE(st.ContainsExactLive(Combo(n, 7, 300)));
+    std::vector<Tuple> removed;
+    // Remove by the last part's seq.
+    EXPECT_EQ(st.RemoveContaining(100 + n - 1, 7, 2, &removed), 1);
+    ASSERT_EQ(removed.size(), 1u);
+    EXPECT_EQ(removed[0], a);
+    EXPECT_EQ(removed[0].streams(), a.streams());
+    EXPECT_EQ(removed[0].key(), 7);
+    for (size_t i = 0; i < removed[0].parts().size(); ++i) {
+      EXPECT_EQ(removed[0].parts()[i].stream, a.parts()[i].stream);
+    }
+    EXPECT_FALSE(st.ContainsExactLive(a));
+    EXPECT_TRUE(st.ContainsExactLive(b));
+    EXPECT_EQ(st.ApproxBytes(),
+              OperatorState::RecordBytes(n) + st.TableBytes());
+  }
+}
+
+// CollectMatchPtrs' pointers survive every read that is not itself a
+// CollectMatchPtrs call; only a mutation or the next such probe may
+// invalidate them.
+TEST(OperatorStateLayoutTest, MatchPtrsValidUntilNextMutation) {
+  OperatorState st(StreamSet::Single(0), StateIndex::kHash);
+  for (Seq seq = 1; seq <= 3; ++seq) st.Insert(T(0, 5, seq), 1);
+  st.Insert(T(0, 6, 4), 1);
+  std::vector<const Tuple*> ptrs;
+  st.CollectMatchPtrs(5, 2, &ptrs);
+  ASSERT_EQ(Seqs(ptrs), (std::vector<Seq>{1, 2, 3}));
+
+  std::vector<Tuple> out;
+  st.CollectMatches(5, 2, &out);
+  st.CollectMatches(6, 2, &out);
+  st.CollectLiveByKey(6, &out);
+  std::vector<std::pair<Tuple, Stamp>> with_stamps;
+  st.CollectLiveByKeyWithStamps(5, &with_stamps);
+  st.ForEachLive([](const Tuple&) {});
+  st.ForEachVisible(2, [](const Tuple&) {});
+  st.ForEachLiveEntryCanonical([](const Tuple&, Stamp) {});
+  EXPECT_TRUE(st.ContainsExactLive(T(0, 6, 4)));
+  EXPECT_TRUE(st.ContainsKeyLive(5));
+  std::unique_ptr<OperatorState> copy = st.Clone();
+  std::vector<const Tuple*> other;
+  copy->CollectMatchPtrs(5, 2, &other);
+
+  EXPECT_EQ(Seqs(ptrs), (std::vector<Seq>{1, 2, 3}));
+  for (const Tuple* t : ptrs) {
+    EXPECT_EQ(t->key(), 5);
+    EXPECT_EQ(t->streams(), StreamSet::Single(0));
+  }
 }
 
 }  // namespace

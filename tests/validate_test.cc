@@ -124,6 +124,15 @@ TEST(ValidateTest, StateMemoryTracksContent) {
   EXPECT_GT(filled, 32u * (sizeof(Tuple)));  // windows alone hold 32 tuples
 }
 
+void ExpectStateBytesAgree(const PipelineExecutor& exec) {
+  for (int id = 0; id < exec.num_ops(); ++id) {
+    const OperatorState& st = exec.op(id)->state();
+    EXPECT_EQ(StateBytes(st), st.ApproxBytes()) << "op " << id;
+    EXPECT_GE(st.ApproxBytes(), st.TableBytes());
+  }
+  EXPECT_EQ(StateMemoryBytes(exec), ApproxStateMemoryBytes(exec));
+}
+
 // The O(1) telemetry estimate and the exact walk charge the same bytes,
 // including the bucket table's slot array, mid-migration too.
 TEST(ValidateTest, StateBytesAgreesWithApproxBytes) {
@@ -140,13 +149,21 @@ TEST(ValidateTest, StateBytesAgreesWithApproxBytes) {
     }
     engine.Push(tuples[i]);
     if (i % 40 != 39) continue;
-    const PipelineExecutor& exec = engine.executor();
-    for (int id = 0; id < exec.num_ops(); ++id) {
-      const OperatorState& st = exec.op(id)->state();
-      EXPECT_EQ(StateBytes(st), st.ApproxBytes()) << "op " << id;
-      EXPECT_GE(st.ApproxBytes(), st.TableBytes());
+    ExpectStateBytesAgree(engine.executor());
+  }
+  // Semi-join and set-difference states store their outer tuples, which
+  // are narrower than the state's id(): both must charge the stored width.
+  const LogicalPlan chains[] = {LogicalPlan::SemiJoinChain(0, {1, 2}),
+                                LogicalPlan::SetDifferenceChain(0, {1, 2})};
+  for (const LogicalPlan& chain : chains) {
+    CountingSink chain_sink;
+    Engine chain_engine(chain, WindowSpec::Uniform(3, 6), &chain_sink,
+                        MakeJiscStrategy());
+    auto chain_tuples = UniformWorkload(3, 4, 200);
+    for (size_t i = 0; i < chain_tuples.size(); ++i) {
+      chain_engine.Push(chain_tuples[i]);
+      if (i % 40 == 39) ExpectStateBytesAgree(chain_engine.executor());
     }
-    EXPECT_EQ(StateMemoryBytes(exec), ApproxStateMemoryBytes(exec));
   }
 }
 
