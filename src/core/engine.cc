@@ -36,6 +36,11 @@ Engine::Engine(const LogicalPlan& plan, const WindowSpec& windows, Sink* sink,
 
 uint64_t Engine::StateMemory() const { return StateMemoryBytes(*exec_); }
 
+void Engine::ForEachState(
+    const std::function<void(const OperatorState&)>& fn) const {
+  for (int id = 0; id < exec_->num_ops(); ++id) fn(exec_->op(id)->state());
+}
+
 void Engine::WireExecutor() {
   if (config_.obs != nullptr) {
     obs_sink_.Wire(sink_, config_.obs);
@@ -48,7 +53,7 @@ void Engine::WireExecutor() {
     exec_->SetSink(sink_);
   }
   exec_->SetMetrics(&metrics_);
-  exec_->SetFreshness(config_.track_freshness ? &freshness_ : nullptr);
+  exec_->SetFreshness(strategy_->ReadsFreshness() ? &freshness_ : nullptr);
   exec_->SetCompletionHandler(strategy_->handler());
 }
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -42,6 +43,8 @@ class Engine : public StreamProcessor {
   Status RequestTransition(const LogicalPlan& new_plan) override;
   const Metrics& metrics() const override { return metrics_; }
   uint64_t StateMemory() const override;
+  void ForEachState(
+      const std::function<void(const OperatorState&)>& fn) const override;
 
   // Buffered admission: appends to the engine's arrival queue without
   // processing; Drain() admits the buffered events one at a time (each

@@ -78,6 +78,12 @@ class JiscRuntime : public MigrationStrategy, public CompletionHandler {
   Status Migrate(Engine* engine, const LogicalPlan& new_plan) override;
   CompletionHandler* handler() override { return this; }
   void Maintain(Engine* engine) override;
+  // Only first-receipt completion reads the marks (OnArrival,
+  // RemovalMayStopAtIncomplete).
+  bool ReadsFreshness() const override {
+    return options_.completion_mode ==
+           JiscOptions::CompletionMode::kOnFirstReceipt;
+  }
   void OnArrival(Engine* engine, const BaseTuple& base, Stamp stamp) override;
 
   // --- CompletionHandler ---

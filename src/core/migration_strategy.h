@@ -64,6 +64,10 @@ class MigrationStrategy {
   // engine every `maintain_period` events.
   virtual void Maintain(Engine* engine) { (void)engine; }
 
+  // True when the strategy reads Definition-2 freshness marks; the engine
+  // marks arrivals only for such a strategy.
+  virtual bool ReadsFreshness() const { return false; }
+
   // Pre-admission hook, called before each arrival is processed.
   virtual void OnArrival(Engine* engine, const BaseTuple& base, Stamp stamp) {
     (void)engine;

@@ -21,10 +21,6 @@ struct ProcessorConfig {
   // Engine: events between strategy Maintain() sweeps (completion
   // detection).
   uint64_t maintain_period = 256;
-  // Engine: track Definition-2 freshness per arrival. Off yields the plain
-  // symmetric-hash-join pipeline of Fig. 9a, whose transitions need a
-  // strategy that does not rely on freshness (Moving State).
-  bool track_freshness = true;
   // Engine load shedding (drop-newest): PushNoDrain drops arrivals beyond
   // this many buffered ones and counts them. 0 = never.
   size_t max_buffered_arrivals = 0;

@@ -115,10 +115,15 @@ void CacqExecutor::Push(const BaseTuple& tuple) {
 
 uint64_t CacqExecutor::StateMemory() const {
   uint64_t bytes = 0;
-  for (const auto& stem : stems_) {
-    if (stem != nullptr) bytes += StateBytes(stem->state());
-  }
+  ForEachState([&](const OperatorState& st) { bytes += StateBytes(st); });
   return bytes;
+}
+
+void CacqExecutor::ForEachState(
+    const std::function<void(const OperatorState&)>& fn) const {
+  for (const auto& stem : stems_) {
+    if (stem != nullptr) fn(stem->state());
+  }
 }
 
 Status CacqExecutor::RequestTransition(const LogicalPlan& new_plan) {

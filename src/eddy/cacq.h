@@ -2,6 +2,7 @@
 #define JISC_EDDY_CACQ_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +42,8 @@ class CacqExecutor : public StreamProcessor {
   Status RequestTransition(const LogicalPlan& new_plan) override;
   const Metrics& metrics() const override { return metrics_; }
   uint64_t StateMemory() const override;
+  void ForEachState(
+      const std::function<void(const OperatorState&)>& fn) const override;
 
   const std::vector<StreamId>& routing_order() const { return order_; }
   uint64_t tickets(StreamId s) const { return tickets_[s]; }

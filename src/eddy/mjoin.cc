@@ -32,10 +32,15 @@ MJoinExecutor::MJoinExecutor(const LogicalPlan& plan,
 
 uint64_t MJoinExecutor::StateMemory() const {
   uint64_t bytes = 0;
-  for (const auto& stem : stems_) {
-    if (stem != nullptr) bytes += StateBytes(stem->state());
-  }
+  ForEachState([&](const OperatorState& st) { bytes += StateBytes(st); });
   return bytes;
+}
+
+void MJoinExecutor::ForEachState(
+    const std::function<void(const OperatorState&)>& fn) const {
+  for (const auto& stem : stems_) {
+    if (stem != nullptr) fn(stem->state());
+  }
 }
 
 void MJoinExecutor::Push(const BaseTuple& tuple) {

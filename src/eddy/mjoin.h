@@ -2,6 +2,7 @@
 #define JISC_EDDY_MJOIN_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +33,8 @@ class MJoinExecutor : public StreamProcessor {
   Status RequestTransition(const LogicalPlan& new_plan) override;
   const Metrics& metrics() const override { return metrics_; }
   uint64_t StateMemory() const override;
+  void ForEachState(
+      const std::function<void(const OperatorState&)>& fn) const override;
 
   const std::vector<StreamId>& probe_order() const { return order_; }
 

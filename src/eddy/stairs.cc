@@ -30,13 +30,18 @@ StairsExecutor::StairsExecutor(const LogicalPlan& plan,
 
 uint64_t StairsExecutor::StateMemory() const {
   uint64_t bytes = 0;
+  ForEachState([&](const OperatorState& st) { bytes += StateBytes(st); });
+  return bytes;
+}
+
+void StairsExecutor::ForEachState(
+    const std::function<void(const OperatorState&)>& fn) const {
   for (const auto& stem : stems_) {
-    if (stem != nullptr) bytes += StateBytes(stem->state());
+    if (stem != nullptr) fn(stem->state());
   }
   for (size_t k = 1; k < prefix_.size(); ++k) {
-    if (prefix_[k].state != nullptr) bytes += StateBytes(*prefix_[k].state);
+    if (prefix_[k].state != nullptr) fn(*prefix_[k].state);
   }
-  return bytes;
 }
 
 int StairsExecutor::PositionOf(StreamId s) const {
@@ -246,8 +251,6 @@ Status StairsExecutor::RequestTransition(const LogicalPlan& new_plan) {
       prefix_[k].state =
           std::make_unique<OperatorState>(acc, StateIndex::kHash);
       prefix_[k].state->MarkIncomplete();
-    } else {
-      prefix_[k].state->VacuumDirty();
     }
   }
   if (policy_ == MigrationPolicy::kEager) {

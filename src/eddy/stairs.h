@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -46,6 +47,8 @@ class StairsExecutor : public StreamProcessor {
   Status RequestTransition(const LogicalPlan& new_plan) override;
   const Metrics& metrics() const override { return metrics_; }
   uint64_t StateMemory() const override;
+  void ForEachState(
+      const std::function<void(const OperatorState&)>& fn) const override;
 
   const std::vector<StreamId>& routing_order() const { return order_; }
   int num_incomplete() const;

@@ -88,6 +88,7 @@ void PipelineExecutor::NotifyReady(Operator* op, Stamp stamp) {
 }
 
 void PipelineExecutor::PushArrival(const BaseTuple& base, Stamp stamp) {
+  JISC_DCHECK(Idle());
   StreamScan* s = scan(base.stream);
   JISC_CHECK(s != nullptr) << "no scan for stream " << base.stream;
   Message m;
@@ -99,6 +100,7 @@ void PipelineExecutor::PushArrival(const BaseTuple& base, Stamp stamp) {
 }
 
 void PipelineExecutor::PushExpiry(const BaseTuple& base, Stamp stamp) {
+  JISC_DCHECK(Idle());
   JISC_CHECK(options_.external_expiry);
   StreamScan* s = scan(base.stream);
   JISC_CHECK(s != nullptr) << "no scan for stream " << base.stream;
@@ -116,10 +118,6 @@ void PipelineExecutor::RunUntilIdle() {
     in_ready_[static_cast<size_t>(op->node_id())] = 0;
     while (op->HasWork()) op->ProcessOne(&ctx_);
   }
-  // Quiescent: no in-flight message can probe below any tombstone.
-  for (auto& op : ops_) {
-    if (op->state().HasTombstones()) op->state().VacuumDirty();
-  }
 }
 
 StatePool PipelineExecutor::TakeAllStates() {
@@ -130,11 +128,7 @@ StatePool PipelineExecutor::TakeAllStates() {
       auto* scan = static_cast<StreamScan*>(op.get());
       pool.PutWindow(scan->stream(), scan->TakeWindow());
     }
-    std::unique_ptr<OperatorState> st = op->ReleaseState();
-    // Tombstones are tracked per touched bucket, so the targeted vacuum
-    // fully purges them without rescanning the whole state.
-    st->VacuumDirty();
-    pool.Put(std::move(st));
+    pool.Put(op->ReleaseState());
   }
   return pool;
 }

@@ -59,15 +59,17 @@ class PipelineExecutor {
 
   // --- driving ---
 
-  // Enqueues a base tuple at its stream's scan (does not process).
+  // Enqueues a base tuple at its stream's scan (does not process). The
+  // executor must be idle: states keep one version, so a new event may not
+  // start while an older one is still in flight.
   void PushArrival(const BaseTuple& base, Stamp stamp);
 
   // External-expiry mode only: enqueues an expiry of `base` at its stream's
   // scan (does not process). `base` must be the oldest live tuple of its
-  // stream on this executor.
+  // stream on this executor. The executor must be idle, as for PushArrival.
   void PushExpiry(const BaseTuple& base, Stamp stamp);
 
-  // Drains every operator queue, then vacuums tombstoned state entries.
+  // Drains every operator queue.
   void RunUntilIdle();
 
   // --- structure access ---

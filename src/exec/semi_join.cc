@@ -1,7 +1,5 @@
 #include "exec/semi_join.h"
 
-#include "common/logging.h"
-
 namespace jisc {
 
 SemiJoin::SemiJoin(int node_id, StreamSet streams)
@@ -9,20 +7,17 @@ SemiJoin::SemiJoin(int node_id, StreamSet streams)
 
 void SemiJoin::SuppressKey(JoinKey key, ExecContext* ctx) {
   std::vector<Tuple> dropped;
-  state_->CollectLiveByKey(key, &dropped);
+  const size_t n = state_->TakeLiveByKey(key, &dropped);
   if (ctx->metrics != nullptr) {
     ++ctx->metrics->probes;
-    ctx->metrics->probe_entries += dropped.size();
+    ctx->metrics->probe_entries += n;
+    ctx->metrics->removals += n;
   }
-  bool is_root = (parent_ == nullptr);
-  for (const Tuple& l : dropped) {
-    bool ok = state_->RemoveExact(l, ctx->stamp);
-    JISC_DCHECK(ok);
-    (void)ok;
-    if (ctx->metrics != nullptr) ++ctx->metrics->removals;
-    if (!is_root) EmitRemoval(l.parts().front(), ctx);
+  if (parent_ == nullptr) {
+    EmitRetractions(dropped, ctx);
+    return;
   }
-  if (is_root) EmitRetractions(dropped, ctx);
+  for (const Tuple& l : dropped) EmitRemoval(l.parts().front(), ctx);
 }
 
 void SemiJoin::QualifyKey(JoinKey key, ExecContext* ctx) {

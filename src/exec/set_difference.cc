@@ -1,7 +1,5 @@
 #include "exec/set_difference.h"
 
-#include "common/logging.h"
-
 namespace jisc {
 
 SetDifference::SetDifference(int node_id, StreamSet streams)
@@ -9,24 +7,18 @@ SetDifference::SetDifference(int node_id, StreamSet streams)
 
 void SetDifference::SuppressKey(JoinKey key, ExecContext* ctx) {
   std::vector<Tuple> suppressed;
-  state_->CollectLiveByKey(key, &suppressed);
+  const size_t n = state_->TakeLiveByKey(key, &suppressed);
   if (ctx->metrics != nullptr) {
     ++ctx->metrics->probes;
-    ctx->metrics->probe_entries += suppressed.size();
+    ctx->metrics->probe_entries += n;
+    ctx->metrics->removals += n;
   }
-  bool is_root = (parent_ == nullptr);
-  for (const Tuple& l : suppressed) {
-    bool ok = state_->RemoveExact(l, ctx->stamp);
-    JISC_DCHECK(ok);
-    (void)ok;
-    if (ctx->metrics != nullptr) ++ctx->metrics->removals;
-    if (!is_root) {
-      // The suppressed outer tuple may be present in ancestor states.
-      JISC_DCHECK(!l.parts().empty());
-      EmitRemoval(l.parts().front(), ctx);
-    }
+  if (parent_ == nullptr) {
+    EmitRetractions(suppressed, ctx);
+    return;
   }
-  if (is_root) EmitRetractions(suppressed, ctx);
+  // The suppressed outer tuples may be present in ancestor states.
+  for (const Tuple& l : suppressed) EmitRemoval(l.parts().front(), ctx);
 }
 
 void SetDifference::OnData(const Tuple& tuple, Side from, ExecContext* ctx) {

@@ -2,6 +2,7 @@
 #define JISC_EXEC_STREAM_PROCESSOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/logging.h"
@@ -11,6 +12,8 @@
 #include "types/tuple.h"
 
 namespace jisc {
+
+class OperatorState;
 
 // Uniform facade over the query processors compared in the paper: the
 // pipelined engine under each migration strategy (Moving State, Parallel
@@ -45,6 +48,13 @@ class StreamProcessor {
   // (Section 5 compares strategies' memory footprints; Parallel Track's
   // doubles while plans overlap).
   virtual uint64_t StateMemory() const { return 0; }
+
+  // Visits every materialized operator state the processor holds (window
+  // states or SteMs, intermediate and result states).
+  virtual void ForEachState(
+      const std::function<void(const OperatorState&)>& fn) const {
+    (void)fn;
+  }
 };
 
 }  // namespace jisc

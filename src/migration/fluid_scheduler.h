@@ -106,6 +106,7 @@ class FluidJiscStrategy : public MigrationStrategy {
   Status Migrate(Engine* engine, const LogicalPlan& new_plan) override;
   CompletionHandler* handler() override { return inner_.handler(); }
   void Maintain(Engine* engine) override { inner_.Maintain(engine); }
+  bool ReadsFreshness() const override { return inner_.ReadsFreshness(); }
   void OnArrival(Engine* engine, const BaseTuple& base,
                  Stamp stamp) override {
     inner_.OnArrival(engine, base, stamp);

@@ -43,10 +43,9 @@ void OperatorState::IdList::TakeFrom(IdList* other) {
 
 std::unique_ptr<OperatorState> OperatorState::Clone() const {
   auto copy = std::make_unique<OperatorState>(id_, index_);
-  for (const auto& [k, b] : buckets_) {
-    for (RecordId id : b.ids) {
-      const RecordHead& h = Head(id);
-      if (h.live()) copy->Append(k, RecordParts(id), width_, h.insert_stamp);
+  for (const auto& [k, ids] : buckets_) {
+    for (RecordId id : ids) {
+      copy->Append(k, RecordParts(id), width_, Head(id).insert_stamp);
     }
   }
   copy->complete_ = complete_;
@@ -97,30 +96,10 @@ void OperatorState::Append(JoinKey key, const BaseTuple* parts, size_t width,
     slab_.resize(slab_.size() + stride_);
   }
   std::byte* rec = slab_.data() + id * stride_;
-  new (rec) RecordHead{insert_stamp, kStampInfinity};
+  new (rec) RecordHead{insert_stamp};
   std::memcpy(rec + sizeof(RecordHead), parts, width * sizeof(BaseTuple));
-  Bucket& b = buckets_[key];
-  b.ids.push_back(id);
-  NoteInsert(&b);
-}
-
-void OperatorState::NoteInsert(Bucket* b) {
-  if (b->live == 0) ++live_keys_;
-  ++b->live;
+  buckets_[key].push_back(id);
   ++live_size_;
-}
-
-void OperatorState::NoteRemove(JoinKey key, Bucket* b) {
-  JISC_DCHECK(b->live > 0);
-  --b->live;
-  --live_size_;
-  if (b->live == 0) --live_keys_;
-  // Queue the bucket once per vacuum cycle: one compaction pass then
-  // covers every entry removed from it, however many there are.
-  if (!b->dirty) {
-    b->dirty = true;
-    dirty_keys_.push_back(key);
-  }
 }
 
 bool OperatorState::Insert(const Tuple& tuple, Stamp insert_stamp,
@@ -131,84 +110,64 @@ bool OperatorState::Insert(const Tuple& tuple, Stamp insert_stamp,
   return true;
 }
 
-int OperatorState::RemoveContaining(Seq seq, JoinKey key, Stamp remove_stamp,
+int OperatorState::UnlinkContaining(IdList* bucket, Seq seq,
                                     std::vector<Tuple>* removed) {
   int count = 0;
-  auto scan_bucket = [&](JoinKey k, Bucket& b) {
-    for (RecordId id : b.ids) {
-      RecordHead& h = Head(id);
-      if (h.live() && RecordContainsSeq(id, seq)) {
-        h.remove_stamp = remove_stamp;
-        NoteRemove(k, &b);
-        if (removed != nullptr) Materialize(id, &removed->emplace_back());
-        ++count;
-      }
-    }
-  };
+  bucket->RemoveIf([&](RecordId id) {
+    if (!RecordContainsSeq(id, seq)) return false;
+    if (removed != nullptr) Materialize(id, &removed->emplace_back());
+    free_ids_.push_back(id);
+    ++count;
+    return true;
+  });
+  live_size_ -= static_cast<size_t>(count);
+  return count;
+}
+
+int OperatorState::RemoveContaining(Seq seq, JoinKey key, Stamp stamp,
+                                    std::vector<Tuple>* removed) {
+  (void)stamp;
   if (index_ == StateIndex::kHash) {
     // Equi-join combinations share the key of every part, so combinations
     // containing `seq` can only live in this key's bucket.
     auto it = buckets_.find(key);
-    if (it != buckets_.end()) scan_bucket(key, it->second);
-  } else {
-    for (auto& [k, b] : buckets_) scan_bucket(k, b);
+    if (it == buckets_.end()) return 0;
+    const int count = UnlinkContaining(&it->second, seq, removed);
+    if (it->second.empty()) buckets_.erase(it);
+    return count;
   }
+  // Erasing shifts a cluster's tail back over the hole, and a cluster may
+  // wrap the table's end: collect the emptied keys, then erase them.
+  int count = 0;
+  std::vector<JoinKey> emptied;
+  for (auto& [k, ids] : buckets_) {
+    count += UnlinkContaining(&ids, seq, removed);
+    if (ids.empty()) emptied.push_back(k);
+  }
+  for (JoinKey k : emptied) buckets_.erase(k);
   return count;
 }
 
-bool OperatorState::RemoveExact(const Tuple& tuple, Stamp remove_stamp) {
-  auto it = buckets_.find(tuple.key());
-  if (it == buckets_.end()) return false;
-  for (RecordId id : it->second.ids) {
-    RecordHead& h = Head(id);
-    if (h.live() && RecordEquals(id, tuple.parts())) {
-      h.remove_stamp = remove_stamp;
-      NoteRemove(tuple.key(), &it->second);
-      return true;
-    }
-  }
-  return false;
-}
-
-void OperatorState::VacuumBucket(Bucket* bucket) {
-  bucket->ids.RemoveIf([this](RecordId id) {
-    if (Head(id).live()) return false;
+size_t OperatorState::TakeLiveByKey(JoinKey key, std::vector<Tuple>* out) {
+  auto it = buckets_.find(key);
+  if (it == buckets_.end()) return 0;
+  const IdList& ids = it->second;
+  for (RecordId id : ids) {
+    Materialize(id, &out->emplace_back());
     free_ids_.push_back(id);
-    return true;
-  });
-  bucket->dirty = false;
-}
-
-void OperatorState::Vacuum() {
-  // Erasing shifts a cluster's tail back over the hole, and a cluster may
-  // wrap the table's end: collect the emptied keys, then erase them.
-  std::vector<JoinKey> emptied;
-  for (auto& [k, b] : buckets_) {
-    VacuumBucket(&b);
-    if (b.ids.empty()) emptied.push_back(k);
   }
-  for (JoinKey k : emptied) buckets_.erase(k);
-  dirty_keys_.clear();
-}
-
-void OperatorState::VacuumDirty() {
-  for (JoinKey key : dirty_keys_) {
-    auto it = buckets_.find(key);
-    if (it == buckets_.end()) continue;
-    VacuumBucket(&it->second);
-    if (it->second.ids.empty()) buckets_.erase(it);
-  }
-  dirty_keys_.clear();
+  const size_t count = ids.size();
+  live_size_ -= count;
+  buckets_.erase(it);
+  return count;
 }
 
 void OperatorState::Clear() {
   buckets_.clear();
   slab_.clear();
   free_ids_.clear();
-  dirty_keys_.clear();
   probe_scratch_.clear();
   live_size_ = 0;
-  live_keys_ = 0;
   completed_keys_.clear();
 }
 
@@ -216,7 +175,7 @@ void OperatorState::CollectMatches(JoinKey key, Stamp p,
                                    std::vector<Tuple>* out) const {
   auto it = buckets_.find(key);
   if (it == buckets_.end()) return;
-  for (RecordId id : it->second.ids) {
+  for (RecordId id : it->second) {
     if (Head(id).VisibleAt(p)) Materialize(id, &out->emplace_back());
   }
 }
@@ -226,7 +185,7 @@ void OperatorState::CollectMatchPtrs(JoinKey key, Stamp p,
   auto it = buckets_.find(key);
   if (it == buckets_.end()) return;
   size_t n = 0;
-  for (RecordId id : it->second.ids) {
+  for (RecordId id : it->second) {
     if (!Head(id).VisibleAt(p)) continue;
     if (n == probe_scratch_.size()) probe_scratch_.emplace_back();
     Materialize(id, &probe_scratch_[n++]);
@@ -238,9 +197,9 @@ void OperatorState::CollectMatchPtrs(JoinKey key, Stamp p,
 void OperatorState::ForEachVisible(
     Stamp p, const std::function<void(const Tuple&)>& fn) const {
   Tuple t;
-  for (const auto& [k, b] : buckets_) {
+  for (const auto& [k, ids] : buckets_) {
     (void)k;
-    for (RecordId id : b.ids) {
+    for (RecordId id : ids) {
       if (!Head(id).VisibleAt(p)) continue;
       Materialize(id, &t);
       fn(t);
@@ -251,10 +210,9 @@ void OperatorState::ForEachVisible(
 void OperatorState::ForEachLive(
     const std::function<void(const Tuple&)>& fn) const {
   Tuple t;
-  for (const auto& [k, b] : buckets_) {
+  for (const auto& [k, ids] : buckets_) {
     (void)k;
-    for (RecordId id : b.ids) {
-      if (!Head(id).live()) continue;
+    for (RecordId id : ids) {
       Materialize(id, &t);
       fn(t);
     }
@@ -266,11 +224,9 @@ void OperatorState::ForEachLiveEntryCanonical(
   std::vector<RecordId> live;
   live.reserve(live_size_);
   // jisc-verify: allow(determinism) — gathered entries are sorted below
-  for (const auto& [k, b] : buckets_) {
+  for (const auto& [k, ids] : buckets_) {
     (void)k;
-    for (RecordId id : b.ids) {
-      if (Head(id).live()) live.push_back(id);
-    }
+    live.insert(live.end(), ids.begin(), ids.end());
   }
   std::sort(live.begin(), live.end(), [this](RecordId a, RecordId b) {
     const Stamp as = Head(a).insert_stamp;
@@ -293,40 +249,36 @@ void OperatorState::ForEachLiveEntryCanonical(
 
 bool OperatorState::ContainsKeyLive(JoinKey key) const {
   auto it = buckets_.find(key);
-  return it != buckets_.end() && it->second.live > 0;
+  return it != buckets_.end();
 }
 
 void OperatorState::CollectLiveByKey(JoinKey key,
                                      std::vector<Tuple>* out) const {
   auto it = buckets_.find(key);
   if (it == buckets_.end()) return;
-  for (RecordId id : it->second.ids) {
-    if (Head(id).live()) Materialize(id, &out->emplace_back());
-  }
+  for (RecordId id : it->second) Materialize(id, &out->emplace_back());
 }
 
 void OperatorState::CollectLiveByKeyWithStamps(
     JoinKey key, std::vector<std::pair<Tuple, Stamp>>* out) const {
   auto it = buckets_.find(key);
   if (it == buckets_.end()) return;
-  for (RecordId id : it->second.ids) {
-    const RecordHead& h = Head(id);
-    if (!h.live()) continue;
-    Materialize(id, &out->emplace_back(Tuple(), h.insert_stamp).first);
+  for (RecordId id : it->second) {
+    Materialize(id, &out->emplace_back(Tuple(), Head(id).insert_stamp).first);
   }
 }
 
 bool OperatorState::ContainsExactLive(const Tuple& tuple) const {
   auto it = buckets_.find(tuple.key());
   if (it == buckets_.end()) return false;
-  for (RecordId id : it->second.ids) {
-    if (Head(id).live() && RecordEquals(id, tuple.parts())) return true;
+  for (RecordId id : it->second) {
+    if (RecordEquals(id, tuple.parts())) return true;
   }
   return false;
 }
 
 uint64_t OperatorState::ApproxBytes() const {
-  // Mirrors exec/validate.cc StateBytes: one record per live entry, and the
+  // Mirrors exec/validate.cc StateBytes: one record per entry, and the
   // bucket table's slot array.
   return static_cast<uint64_t>(live_size_) * RecordBytes(width_) +
          TableBytes();
@@ -334,9 +286,10 @@ uint64_t OperatorState::ApproxBytes() const {
 
 std::vector<JoinKey> OperatorState::LiveKeys() const {
   std::vector<JoinKey> keys;
-  keys.reserve(live_keys_);
-  for (const auto& [k, b] : buckets_) {
-    if (b.live > 0) keys.push_back(k);
+  keys.reserve(buckets_.size());
+  for (const auto& [k, ids] : buckets_) {
+    (void)ids;
+    keys.push_back(k);
   }
   return keys;
 }
@@ -365,7 +318,7 @@ std::vector<JoinKey> OperatorState::CompletedKeysSorted() const {
 std::string OperatorState::DebugString() const {
   std::ostringstream os;
   os << "State " << id_.ToString() << (complete_ ? " [complete]" : " [INCOMPLETE]")
-     << " live=" << live_size_ << " keys=" << live_keys_;
+     << " live=" << live_size_ << " keys=" << buckets_.size();
   return os.str();
 }
 

@@ -28,28 +28,33 @@ enum class StateIndex {
 //
 // Identity: the StreamSet of the subtree (the paper's "State RS" etc.).
 //
-// Visibility model: each entry carries the global event stamp at which it was
-// inserted and (once removed) the stamp at which it was removed. A join probe
-// issued by a tuple born at stamp p sees exactly the entries with
-// insert < p < remove. This yields exactly-once pair generation in a
-// symmetric pipeline (the later tuple of a pair produces it) and makes the
-// output independent of intra-event scheduling. Removed entries are
-// physically erased by Vacuum(), which the engine calls between events.
+// Single-version model: a state holds only its live entries. Each entry
+// carries the global event stamp at which it was inserted, and a probe
+// issued at stamp p sees exactly the entries with insert < p. A removal
+// unlinks its entries in the pass that finds them, so a removed entry is
+// gone for every later read. This is sound because an executor admits one
+// external event at a time and drains it before the next (the executors
+// check Idle() when an event is pushed): every message in flight carries
+// the current stamp, so no probe can ask for a version older than the
+// state's. An entry inserted at stamp s is invisible to every probe at s,
+// so an operator may emit a combination before inserting it; the symmetric
+// pipeline then produces each pair exactly once (the later tuple of the
+// pair does) and the output does not depend on intra-event scheduling.
 //
 // Layout: each entry is a fixed-stride record in one slab per state: its
-// insert and remove stamps, then the combination's parts inline. The
-// stride is the width the state stores, taken from its first insert: a
-// join state stores combinations of all id().size() streams, but a semi
-// join or set difference stores its outer tuples, which are narrower.
-// Vacuumed record ids are reused. Records are grouped into per-key
+// insert stamp, then the combination's parts inline. The stride is the
+// width the state stores, taken from its first insert: a join state stores
+// combinations of all id().size() streams, but a semi join or set
+// difference stores its outer tuples, which are narrower. A removal frees
+// its record ids at once and the next inserts reuse them, so the slab
+// stays at the state's peak live size. Records are grouped into per-key
 // buckets, each an array of record ids in insertion order (up to two held
 // inline in the bucket), and the buckets live in one open-addressing
-// FlatMap keyed by the join attribute (common/flat_map.h). A bucket is
-// queued for vacuum once per cycle however many of its entries are
-// removed, so vacuum work is linear in the size of the touched buckets.
-// Insert copies the combination's parts into a record; reads rebuild a
-// Tuple from a record (birth = insert stamp, not fresh), which allocates
-// nothing for combinations of up to Tuple::kInlineParts streams.
+// FlatMap keyed by the join attribute (common/flat_map.h); a bucket is
+// erased when its last record goes. Insert copies the combination's parts
+// into a record; reads rebuild a Tuple from a record (birth = insert
+// stamp, not fresh), which allocates nothing for combinations of up to
+// Tuple::kInlineParts streams.
 //
 // Completeness (Definition 1) is a property of the state tracked here as a
 // flag plus the set of join-attribute values whose entries have been
@@ -62,9 +67,8 @@ class OperatorState {
   OperatorState(const OperatorState&) = delete;
   OperatorState& operator=(const OperatorState&) = delete;
 
-  // Deep copy of the live content (tombstones are not carried). Used by the
-  // hybrid migration strategy, where old and new plan each need their own
-  // copy of a shared state.
+  // Deep copy. Used by the hybrid migration strategy, where old and new
+  // plan each need their own copy of a shared state.
   std::unique_ptr<OperatorState> Clone() const;
 
   StreamSet id() const { return id_; }
@@ -78,28 +82,25 @@ class OperatorState {
   // already flowed in after the transition). Returns true if inserted.
   bool Insert(const Tuple& tuple, Stamp insert_stamp, bool dedup = false);
 
-  // Tombstones every live combination containing base-tuple `seq` with key
-  // `key` (expiry propagation). For hash states the search is confined to
-  // the key's bucket; list states are scanned fully. Removed combinations
-  // are appended to *removed (may be null). Returns the count.
-  int RemoveContaining(Seq seq, JoinKey key, Stamp remove_stamp,
+  // Unlinks every combination containing base-tuple `seq` with key `key`
+  // (expiry propagation), keeping the survivors' insertion order, freeing
+  // the records and erasing buckets that empty. For hash states the search
+  // is confined to the key's bucket; list states are scanned fully.
+  // Removed combinations are appended to *removed (may be null). Returns
+  // the count. The removal takes effect for every later read, whatever the
+  // removing event's `stamp`.
+  int RemoveContaining(Seq seq, JoinKey key, Stamp stamp,
                        std::vector<Tuple>* removed);
 
-  // Tombstones one specific live combination (set-difference suppression).
-  // Returns true if found.
-  bool RemoveExact(const Tuple& tuple, Stamp remove_stamp);
+  // Moves every entry with this key to *out in insertion order, frees
+  // their records and erases the bucket (set-difference and semi-join
+  // suppression). Returns the count.
+  size_t TakeLiveByKey(JoinKey key, std::vector<Tuple>* out);
 
-  // Physically erases tombstoned entries. Safe only between events (no
-  // in-flight message may still probe at a stamp below a tombstone).
-  void Vacuum();
-
-  // Erases tombstones only from the buckets touched since the last vacuum;
-  // O(size of touched buckets). The executor calls this after each drain.
-  void VacuumDirty();
-
-  bool HasTombstones() const { return !dirty_keys_.empty(); }
-  // Keys queued for the next VacuumDirty(); each at most once.
-  size_t PendingVacuumKeys() const { return dirty_keys_.size(); }
+  // Always false and a no-op: a removal leaves nothing behind. Both remain
+  // only for the benchmark driver's OperatorState replay, which calls them.
+  bool HasTombstones() const { return false; }
+  void VacuumDirty() {}
 
   // Drops everything (state discard at transition).
   void Clear();
@@ -122,7 +123,7 @@ class OperatorState {
   // the call and is valid only during it; copy it to keep it.
   void ForEachVisible(Stamp p, const std::function<void(const Tuple&)>& fn) const;
 
-  // Visits every live (not yet removed) entry regardless of stamp
+  // Visits every entry regardless of stamp
   // (set-difference membership, Moving State eager computation, snapshots).
   // As for ForEachVisible, the tuple is valid only during the call.
   void ForEachLive(const std::function<void(const Tuple&)>& fn) const;
@@ -151,10 +152,15 @@ class OperatorState {
 
   // --- statistics ---
   size_t live_size() const { return live_size_; }
-  // Bytes of one record holding a combination of `width` parts: its two
-  // stamps and the parts.
+  // Records the slab holds, in use or free: the state's peak live size
+  // since its last Clear() or width change.
+  size_t slab_records() const {
+    return stride_ == 0 ? 0 : slab_.size() / stride_;
+  }
+  // Bytes of one record holding a combination of `width` parts: its
+  // insert stamp and the parts.
   static constexpr uint64_t RecordBytes(size_t width) {
-    return 2 * sizeof(Stamp) + width * sizeof(BaseTuple);
+    return sizeof(Stamp) + width * sizeof(BaseTuple);
   }
   // O(1) resident-bytes estimate from the incrementally-tracked counters:
   // every record of this state has the same stride, so record storage
@@ -168,7 +174,7 @@ class OperatorState {
   // Number of distinct keys with at least one live entry (the paper's
   // "number of distinct values of the join attribute inside the state",
   // used to initialize completion counters).
-  size_t DistinctLiveKeys() const { return live_keys_; }
+  size_t DistinctLiveKeys() const { return buckets_.size(); }
   std::vector<JoinKey> LiveKeys() const;
 
   // --- completeness bookkeeping (Definition 1 / Section 4.3) ---
@@ -190,14 +196,10 @@ class OperatorState {
   // The fixed head of a record; the record's width_ parts follow it.
   struct RecordHead {
     Stamp insert_stamp;
-    Stamp remove_stamp;
 
-    bool live() const { return remove_stamp == kStampInfinity; }
-    bool VisibleAt(Stamp p) const {
-      return insert_stamp < p && p < remove_stamp;
-    }
+    bool VisibleAt(Stamp p) const { return insert_stamp < p; }
   };
-  static_assert(sizeof(RecordHead) == 2 * sizeof(Stamp));
+  static_assert(sizeof(RecordHead) == sizeof(Stamp));
 
   // One bucket's record ids in insertion order: up to kInline inside the
   // object (most buckets hold one or two records), more in a heap array.
@@ -217,6 +219,7 @@ class OperatorState {
     const RecordId* begin() const { return data(); }
     const RecordId* end() const { return data() + size_; }
     bool empty() const { return size_ == 0; }
+    uint32_t size() const { return size_; }
 
     void push_back(RecordId id);
 
@@ -248,16 +251,6 @@ class OperatorState {
     };
   };
 
-  struct Bucket {
-    IdList ids;
-    uint32_t live = 0;
-    bool dirty = false;  // queued in dirty_keys_ for the next vacuum
-  };
-
-  RecordHead& Head(RecordId id) {
-    return *std::launder(
-        reinterpret_cast<RecordHead*>(slab_.data() + id * stride_));
-  }
   const RecordHead& Head(RecordId id) const {
     return *std::launder(
         reinterpret_cast<const RecordHead*>(slab_.data() + id * stride_));
@@ -271,14 +264,12 @@ class OperatorState {
   // Rebuilds record `id` into *out, reusing its storage.
   void Materialize(RecordId id, Tuple* out) const;
 
-  // Stores a new live record, reusing a freed id, in `key`'s bucket.
+  // Stores a new record, reusing a freed id, in `key`'s bucket.
   void Append(JoinKey key, const BaseTuple* parts, size_t width,
               Stamp insert_stamp);
-
-  void NoteInsert(Bucket* b);
-  void NoteRemove(JoinKey key, Bucket* b);
-
-  void VacuumBucket(Bucket* bucket);
+  // Drops the ids of `bucket` that contain `seq`, keeping the order and
+  // freeing their records; rebuilds each into *removed when non-null.
+  int UnlinkContaining(IdList* bucket, Seq seq, std::vector<Tuple>* removed);
 
   StreamSet id_;
   StateIndex index_;
@@ -286,12 +277,10 @@ class OperatorState {
   size_t stride_ = 0;  // RecordBytes(width_); 0 before the first insert
   std::vector<std::byte> slab_;
   std::vector<RecordId> free_ids_;
-  FlatMap<Bucket> buckets_;
-  std::vector<JoinKey> dirty_keys_;
+  FlatMap<IdList> buckets_;  // never holds an empty bucket
   // CollectMatchPtrs' rebuilt matches, reused across probes.
   mutable std::vector<Tuple> probe_scratch_;
   size_t live_size_ = 0;
-  size_t live_keys_ = 0;
   bool complete_ = true;
   std::unordered_set<JoinKey, I64Hash> completed_keys_;
 };

@@ -95,10 +95,7 @@ EngineRecipe EngineRecipeFor(ProcessorKind kind,
                              const ProcessorConfig& config) {
   JISC_CHECK(IsEngineKind(kind))
       << ProcessorKindName(kind) << " is not an engine kind";
-  EngineRecipe recipe{EngineStrategyFactory(kind, config.fluid), config};
-  recipe.config.track_freshness =
-      config.track_freshness && kind != ProcessorKind::kStaticPipeline;
-  return recipe;
+  return EngineRecipe{EngineStrategyFactory(kind, config.fluid), config};
 }
 
 BuiltProcessor MakeProcessor(ProcessorKind kind, const LogicalPlan& plan,

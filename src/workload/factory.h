@@ -26,7 +26,7 @@ enum class ProcessorKind {
   kStairsEager,     // STAIRs with eager Promote/Demote [19]
   kStairsJisc,      // JISC applied to STAIRs (Section 4.6)
   kStaticPipeline,  // plain symmetric-hash-join pipeline (Fig. 9a baseline);
-                    // rejects no transitions but tracks no freshness
+                    // rejects no transitions (Moving State strategy)
 };
 
 const char* ProcessorKindName(ProcessorKind kind);
@@ -42,8 +42,8 @@ bool IsEngineKind(ProcessorKind kind);
 
 // An engine kind's build recipe: the migration-strategy factory the kind
 // wires in (the fluid-draining decorator when config.fluid is fluid, for
-// the migrating kinds), and the config it runs with (kStaticPipeline never
-// tracks freshness). MakeProcessor and the scenario runner's
+// the migrating kinds), and the config it runs with. MakeProcessor and the
+// scenario runner's
 // checkpoint/restore action both build from it, so a restored engine gets
 // the original's strategy and settings. CHECK-fails on non-engine kinds.
 struct EngineRecipe {

@@ -173,7 +173,7 @@ TEST(FlatMapTest, SameOperationsGiveSameIterationOrder) {
   EXPECT_FALSE(a.empty());
 }
 
-// The erase pattern OperatorState::Vacuum() uses: visit every entry,
+// The erase pattern a list state's RemoveContaining uses: visit every entry,
 // collect the keys to drop, then erase them. Each key is visited once even
 // when clusters wrap the array end.
 TEST(FlatMapTest, CollectThenEraseVisitsEachKeyOnce) {

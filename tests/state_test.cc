@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -7,7 +8,10 @@
 #include <utility>
 #include <vector>
 
+#include "plan/logical_plan.h"
 #include "state/operator_state.h"
+#include "tests/test_util.h"
+#include "workload/factory.h"
 
 namespace jisc {
 namespace {
@@ -22,6 +26,12 @@ BaseTuple MakeBase(StreamId s, JoinKey k, Seq seq) {
 
 Tuple T(StreamId s, JoinKey k, Seq seq, Stamp birth = 0) {
   return Tuple::FromBase(MakeBase(s, k, seq), birth, true);
+}
+
+std::vector<Seq> Seqs(const std::vector<const Tuple*>& tuples) {
+  std::vector<Seq> out;
+  for (const Tuple* t : tuples) out.push_back(t->parts()[0].seq);
+  return out;
 }
 
 class OperatorStateTest : public ::testing::Test {
@@ -41,21 +51,37 @@ TEST_F(OperatorStateTest, InsertAndProbeVisibility) {
   EXPECT_EQ(out[0].parts()[0].seq, 1u);
 }
 
+// Single version: a removed entry is gone for every later read, at any
+// probe stamp, including stamps below the removal's.
 TEST_F(OperatorStateTest, RemovalMakesInvisibleAtRemoveStamp) {
   state_.Insert(T(0, 5, 1), 10);
+  state_.Insert(T(0, 5, 2), 10);
   std::vector<Tuple> removed;
-  int n = state_.RemoveContaining(1, 5, /*remove_stamp=*/20, &removed);
+  int n = state_.RemoveContaining(1, 5, /*stamp=*/20, &removed);
   EXPECT_EQ(n, 1);
   ASSERT_EQ(removed.size(), 1u);
-  std::vector<Tuple> out;
-  state_.CollectMatches(5, 15, &out);  // probe between insert and remove
-  EXPECT_EQ(out.size(), 1u);
-  out.clear();
-  state_.CollectMatches(5, 20, &out);  // probe at the removal stamp
-  EXPECT_TRUE(out.empty());
-  out.clear();
-  state_.CollectMatches(5, 25, &out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(removed[0].parts()[0].seq, 1u);
+  for (Stamp p : {Stamp{15}, Stamp{20}, Stamp{25}}) {
+    std::vector<Tuple> out;
+    state_.CollectMatches(5, p, &out);
+    ASSERT_EQ(out.size(), 1u) << "probe at " << p;
+    EXPECT_EQ(out[0].parts()[0].seq, 2u);
+    int visible = 0;
+    state_.ForEachVisible(p, [&](const Tuple&) { ++visible; });
+    EXPECT_EQ(visible, 1) << "probe at " << p;
+  }
+  EXPECT_FALSE(state_.ContainsExactLive(T(0, 5, 1)));
+  std::vector<Tuple> live;
+  state_.CollectLiveByKey(5, &live);
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].parts()[0].seq, 2u);
+  EXPECT_EQ(state_.live_size(), 1u);
+  EXPECT_EQ(state_.RemoveContaining(1, 5, 21, nullptr), 0);
+  // The last entry's removal takes the key with it.
+  EXPECT_EQ(state_.RemoveContaining(2, 5, 22, nullptr), 1);
+  EXPECT_FALSE(state_.ContainsKeyLive(5));
+  EXPECT_EQ(state_.DistinctLiveKeys(), 0u);
+  EXPECT_TRUE(state_.LiveKeys().empty());
 }
 
 TEST_F(OperatorStateTest, DedupInsertSkipsLiveDuplicates) {
@@ -83,47 +109,92 @@ TEST_F(OperatorStateTest, LiveCountsAndDistinctKeys) {
   EXPECT_EQ(keys[0], 7);
 }
 
-TEST_F(OperatorStateTest, VacuumDirtyErasesTombstones) {
-  state_.Insert(T(0, 5, 1), 1);
-  state_.Insert(T(0, 5, 2), 1);
-  state_.RemoveContaining(1, 5, 3, nullptr);
-  EXPECT_TRUE(state_.HasTombstones());
-  state_.VacuumDirty();
-  EXPECT_FALSE(state_.HasTombstones());
-  // The survivor remains probe-able.
-  std::vector<Tuple> out;
-  state_.CollectMatches(5, 10, &out);
-  EXPECT_EQ(out.size(), 1u);
+// A list state erases the buckets one removal empties after its scan:
+// erasing shifts a cluster back over the hole, so erasing mid-scan could
+// skip or revisit buckets. Every survivor stays reachable afterwards.
+TEST(OperatorStateComboTest, ListRemovalErasesEmptiedBuckets) {
+  OperatorState st(StreamSet::Union(StreamSet::Single(0),
+                                    StreamSet::Single(1)),
+                   StateIndex::kList);
+  // Every bucket holds a combination with right part seq 5000; every third
+  // bucket also holds one with seq 6000 + k, which survives.
+  constexpr JoinKey kKeys = 500;
+  for (JoinKey k = 0; k < kKeys; ++k) {
+    const Seq left = static_cast<Seq>(k) + 1;
+    st.Insert(Tuple::Concat(T(0, k, left), T(1, 9, 5000), 2, true), 2);
+    if (k % 3 == 0) {
+      st.Insert(Tuple::Concat(T(0, k, left),
+                              T(1, 9, 6000 + static_cast<Seq>(k)), 2, true),
+                2);
+    }
+  }
+  const size_t slab = st.slab_records();
+  std::vector<Tuple> removed;
+  EXPECT_EQ(st.RemoveContaining(5000, 9, 3, &removed), kKeys);
+  EXPECT_EQ(removed.size(), static_cast<size_t>(kKeys));
+  const size_t survivors = (kKeys + 2) / 3;
+  EXPECT_EQ(st.live_size(), survivors);
+  EXPECT_EQ(st.DistinctLiveKeys(), survivors);
+  EXPECT_EQ(st.LiveKeys().size(), survivors);
+  for (JoinKey k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(st.ContainsKeyLive(k), k % 3 == 0) << "key " << k;
+  }
+  size_t walked = 0;
+  st.ForEachLive([&](const Tuple& t) {
+    ++walked;
+    EXPECT_EQ(t.parts()[1].seq, 6000 + static_cast<Seq>(t.parts()[0].key));
+  });
+  EXPECT_EQ(walked, survivors);
+  // The freed records are reused before the slab grows.
+  for (JoinKey k = 0; k < kKeys; ++k) {
+    st.Insert(Tuple::Concat(T(0, k, 10000 + static_cast<Seq>(k)),
+                            T(1, 9, 7000), 4, true),
+              4);
+  }
+  EXPECT_EQ(st.slab_records(), slab);
+  EXPECT_EQ(st.DistinctLiveKeys(), static_cast<size_t>(kKeys));
 }
 
-// A hot key's bucket is queued for vacuum once per cycle, not once per
-// removed entry, so VacuumDirty compacts it in one pass.
-TEST_F(OperatorStateTest, HotKeyRemovalsQueueBucketOnce) {
-  for (Seq seq = 1; seq <= 1000; ++seq) state_.Insert(T(0, 5, seq), 1);
-  state_.Insert(T(0, 6, 1001), 1);
-  for (Seq seq = 1; seq <= 500; ++seq) {
-    ASSERT_EQ(state_.RemoveContaining(seq, 5, /*remove_stamp=*/2, nullptr),
-              1);
+// Removals from a hot key's bucket unlink in place: the survivors keep
+// their insertion order, and the freed records are reused, so the slab
+// stays at the peak live size however many entries come and go.
+TEST_F(OperatorStateTest, HotKeyRemovalKeepsOrderAndReusesIds) {
+  constexpr Seq kHot = 1000;
+  for (Seq seq = 1; seq <= kHot; ++seq) state_.Insert(T(0, 5, seq), 1);
+  state_.Insert(T(0, 6, kHot + 1), 1);
+  const size_t peak = state_.slab_records();
+  EXPECT_EQ(peak, kHot + 1);
+  Seq next = kHot + 2;
+  for (Stamp stamp = 2; stamp <= 20; ++stamp) {
+    // Remove every other survivor, then refill the bucket.
+    std::vector<Tuple> before;
+    state_.CollectLiveByKey(5, &before);
+    std::vector<Seq> expect;
+    for (size_t i = 0; i < before.size(); ++i) {
+      const Seq seq = before[i].parts()[0].seq;
+      if (i % 2 == 0) {
+        ASSERT_EQ(state_.RemoveContaining(seq, 5, stamp, nullptr), 1);
+      } else {
+        expect.push_back(seq);
+      }
+    }
+    std::vector<const Tuple*> ptrs;
+    state_.CollectMatchPtrs(5, stamp + 1, &ptrs);
+    ASSERT_EQ(Seqs(ptrs), expect) << "at stamp " << stamp;
+    while (state_.live_size() < kHot + 1) {
+      state_.Insert(T(0, 5, next++), stamp);
+    }
+    EXPECT_EQ(state_.slab_records(), peak) << "at stamp " << stamp;
   }
-  for (Seq seq = 501; seq <= 1000; ++seq) {
-    ASSERT_TRUE(state_.RemoveExact(T(0, 5, seq), 2));
-  }
-  EXPECT_EQ(state_.PendingVacuumKeys(), 1u);
-  state_.RemoveContaining(1001, 6, 2, nullptr);
-  EXPECT_EQ(state_.PendingVacuumKeys(), 2u);
-  state_.VacuumDirty();
-  EXPECT_EQ(state_.PendingVacuumKeys(), 0u);
-  EXPECT_FALSE(state_.ContainsKeyLive(5));
-  // The flag is cleared with the vacuum: the next cycle queues again.
-  state_.Insert(T(0, 5, 1002), 3);
-  state_.Insert(T(0, 5, 1003), 3);
-  state_.RemoveContaining(1002, 5, 4, nullptr);
-  state_.RemoveContaining(1003, 5, 4, nullptr);
-  EXPECT_EQ(state_.PendingVacuumKeys(), 1u);
+  std::vector<Tuple> other;
+  state_.CollectLiveByKey(6, &other);
+  ASSERT_EQ(other.size(), 1u);
+  EXPECT_EQ(other[0].parts()[0].seq, kHot + 1);
 }
 
-// One RemoveContaining that tombstones 1,000 combinations of one bucket.
-TEST(OperatorStateComboTest, HotComboRemovalQueuesBucketOnce) {
+// One RemoveContaining that unlinks 1,000 combinations of one bucket frees
+// every record and erases the bucket.
+TEST(OperatorStateComboTest, HotComboRemovalFreesEveryRecord) {
   OperatorState st(StreamSet::Union(StreamSet::Single(0),
                                     StreamSet::Single(1)),
                    StateIndex::kHash);
@@ -131,10 +202,14 @@ TEST(OperatorStateComboTest, HotComboRemovalQueuesBucketOnce) {
     st.Insert(Tuple::Concat(T(0, 5, 1), T(1, 5, seq), 3, true), 3);
   }
   EXPECT_EQ(st.RemoveContaining(1, 5, 9, nullptr), 1000);
-  EXPECT_EQ(st.PendingVacuumKeys(), 1u);
-  st.VacuumDirty();
   EXPECT_FALSE(st.HasTombstones());
   EXPECT_EQ(st.live_size(), 0u);
+  EXPECT_FALSE(st.ContainsKeyLive(5));
+  EXPECT_EQ(st.ApproxBytes(), st.TableBytes());
+  for (Seq seq = 2; seq <= 1001; ++seq) {
+    st.Insert(Tuple::Concat(T(0, 7, 2000), T(1, 7, seq), 10, true), 10);
+  }
+  EXPECT_EQ(st.slab_records(), 1000u);
 }
 
 TEST_F(OperatorStateTest, ContainsKeyLiveAndExact) {
@@ -143,24 +218,54 @@ TEST_F(OperatorStateTest, ContainsKeyLiveAndExact) {
   EXPECT_FALSE(state_.ContainsKeyLive(6));
   EXPECT_TRUE(state_.ContainsExactLive(T(0, 5, 1)));
   EXPECT_FALSE(state_.ContainsExactLive(T(0, 5, 2)));
-  state_.RemoveExact(T(0, 5, 1), 2);
+  state_.RemoveContaining(1, 5, 2, nullptr);
   EXPECT_FALSE(state_.ContainsKeyLive(5));
 }
 
-TEST_F(OperatorStateTest, RemoveExactOnMissingReturnsFalse) {
-  EXPECT_FALSE(state_.RemoveExact(T(0, 5, 1), 2));
+// Suppression takes a key's whole bucket, in insertion order.
+TEST_F(OperatorStateTest, TakeLiveByKeyTakesTheBucketInOrder) {
+  std::vector<Tuple> out;
+  EXPECT_EQ(state_.TakeLiveByKey(5, &out), 0u);
+  EXPECT_TRUE(out.empty());
+  for (Seq seq : {3, 1, 2}) state_.Insert(T(0, 5, seq), seq);
+  state_.Insert(T(0, 6, 4), 1);
+  EXPECT_EQ(state_.TakeLiveByKey(5, &out), 3u);
+  ASSERT_EQ(out.size(), 3u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].parts()[0].seq, std::vector<Seq>({3, 1, 2})[i]);
+    EXPECT_EQ(out[i].birth(), out[i].parts()[0].seq);
+  }
+  EXPECT_FALSE(state_.ContainsKeyLive(5));
+  EXPECT_EQ(state_.live_size(), 1u);
+  EXPECT_EQ(state_.DistinctLiveKeys(), 1u);
+  for (Seq seq = 10; seq < 13; ++seq) state_.Insert(T(0, 7, seq), 5);
+  EXPECT_EQ(state_.slab_records(), 4u);
 }
 
+// An entry inserted at stamp s is invisible to every probe at s and
+// visible above it; a removed one is in neither walk.
 TEST_F(OperatorStateTest, ForEachVisibleAndLive) {
   state_.Insert(T(0, 5, 1), 1);
   state_.Insert(T(0, 6, 2), 5);
+  state_.Insert(T(0, 7, 3), 6);
   state_.RemoveContaining(2, 6, 7, nullptr);
-  int visible_at_6 = 0;
-  state_.ForEachVisible(6, [&](const Tuple&) { ++visible_at_6; });
-  EXPECT_EQ(visible_at_6, 2);  // the removed entry still visible before 7
+  auto visible_seqs = [&](Stamp p) {
+    std::vector<Seq> seqs;
+    state_.ForEachVisible(p, [&](const Tuple& t) {
+      seqs.push_back(t.parts()[0].seq);
+    });
+    std::sort(seqs.begin(), seqs.end());
+    return seqs;
+  };
+  EXPECT_EQ(visible_seqs(1), std::vector<Seq>{});
+  EXPECT_EQ(visible_seqs(6), std::vector<Seq>{1});
+  EXPECT_EQ(visible_seqs(7), (std::vector<Seq>{1, 3}));
+  std::vector<Tuple> at_6;
+  state_.CollectMatches(7, 6, &at_6);
+  EXPECT_TRUE(at_6.empty());
   int live = 0;
   state_.ForEachLive([&](const Tuple&) { ++live; });
-  EXPECT_EQ(live, 1);
+  EXPECT_EQ(live, 2);
 }
 
 TEST_F(OperatorStateTest, CompletenessBookkeeping) {
@@ -239,20 +344,16 @@ Tuple Combo(int n, JoinKey k, Seq first_seq) {
   return t;
 }
 
-std::vector<Seq> Seqs(const std::vector<const Tuple*>& tuples) {
-  std::vector<Seq> out;
-  for (const Tuple* t : tuples) out.push_back(t->parts()[0].seq);
-  return out;
-}
-
 // Probes return a key's entries in insertion order, whatever removals,
-// vacuums and record-id reuse came before: checked against a model after
-// every step of a random interleaving.
+// suppressions and record-id reuse came before: checked against a model
+// after every step of a random interleaving. The slab never outgrows the
+// peak live size.
 TEST(OperatorStateLayoutTest, ProbeOrderIsInsertionOrderAcrossReuse) {
   OperatorState st(StreamSet::Single(0), StateIndex::kHash);
   std::map<JoinKey, std::vector<Seq>> model;  // live seqs, insertion order
   std::mt19937_64 rng(7);
   Seq next_seq = 1;
+  size_t peak = 0;
   for (Stamp stamp = 1; stamp <= 3000; ++stamp) {
     const JoinKey key = static_cast<JoinKey>(rng() % 3);
     std::vector<Seq>& live = model[key];
@@ -265,8 +366,15 @@ TEST(OperatorStateLayoutTest, ProbeOrderIsInsertionOrderAcrossReuse) {
       ASSERT_EQ(st.RemoveContaining(live[victim], key, stamp, nullptr), 1);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     } else {
-      st.VacuumDirty();
+      std::vector<Tuple> taken;
+      ASSERT_EQ(st.TakeLiveByKey(key, &taken), live.size());
+      for (size_t i = 0; i < live.size(); ++i) {
+        ASSERT_EQ(taken[i].parts()[0].seq, live[i]);
+      }
+      live.clear();
     }
+    peak = std::max(peak, st.live_size());
+    ASSERT_EQ(st.slab_records(), peak);
     for (const auto& [k, seqs] : model) {
       std::vector<const Tuple*> ptrs;
       st.CollectMatchPtrs(k, stamp + 1, &ptrs);
@@ -293,14 +401,13 @@ TEST(OperatorStateLayoutTest, NarrowEntries) {
   EXPECT_EQ(st.ApproxBytes(),
             3 * OperatorState::RecordBytes(1) + st.TableBytes());
 
-  EXPECT_TRUE(st.RemoveExact(T(0, 5, 1), 3));
-  EXPECT_FALSE(st.RemoveExact(T(0, 5, 1), 3));
+  EXPECT_EQ(st.RemoveContaining(1, 5, 3, nullptr), 1);
+  EXPECT_EQ(st.RemoveContaining(1, 5, 3, nullptr), 0);
   EXPECT_FALSE(st.ContainsExactLive(T(0, 5, 1)));
 
   std::unique_ptr<OperatorState> copy = st.Clone();
   EXPECT_EQ(copy->id(), st.id());
   EXPECT_EQ(copy->live_size(), 2u);
-  EXPECT_FALSE(copy->HasTombstones());
   EXPECT_TRUE(copy->ContainsExactLive(T(0, 5, 2)));
   EXPECT_FALSE(copy->ContainsExactLive(T(0, 5, 1)));
   EXPECT_EQ(copy->ApproxBytes(),
@@ -383,6 +490,50 @@ TEST(OperatorStateLayoutTest, MatchPtrsValidUntilNextMutation) {
   for (const Tuple* t : ptrs) {
     EXPECT_EQ(t->key(), 5);
     EXPECT_EQ(t->streams(), StreamSet::Single(0));
+  }
+}
+
+// Every processor that holds state frees each expired record where expiry
+// finds it, so over a run of 50 windows each state's slab stays within
+// twice the largest live size it reached, with a plan transition halfway.
+TEST(OperatorStateBoundTest, SlabStaysNearPeakLiveOverFiftyWindows) {
+  constexpr int kStreams = 3;
+  constexpr uint64_t kWindow = 64;
+  const size_t pushes = 50 * kWindow * kStreams;
+  WindowSpec windows = WindowSpec::Uniform(kStreams, kWindow);
+  LogicalPlan plan = LogicalPlan::LeftDeep(testutil::IdentityOrder(kStreams),
+                                           OpKind::kHashJoin);
+  LogicalPlan reversed = LogicalPlan::LeftDeep({2, 1, 0}, OpKind::kHashJoin);
+  std::vector<BaseTuple> tuples =
+      testutil::UniformWorkload(kStreams, /*domain=*/16, pushes);
+  for (ProcessorKind kind :
+       {ProcessorKind::kCacq, ProcessorKind::kMJoin,
+        ProcessorKind::kStairsEager, ProcessorKind::kStairsJisc,
+        ProcessorKind::kJisc}) {
+    SCOPED_TRACE(ProcessorKindName(kind));
+    BuiltProcessor built = MakeProcessor(kind, plan, windows);
+    StreamProcessor& proc = *built.processor;
+    std::map<const OperatorState*, size_t> peak_live;
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      if (i == tuples.size() / 2) {
+        ASSERT_TRUE(proc.RequestTransition(reversed).ok());
+      }
+      proc.Push(tuples[i]);
+      proc.ForEachState([&](const OperatorState& st) {
+        size_t& peak = peak_live[&st];
+        peak = std::max(peak, st.live_size());
+      });
+    }
+    size_t states = 0;
+    size_t live = 0;
+    proc.ForEachState([&](const OperatorState& st) {
+      ++states;
+      live += st.live_size();
+      EXPECT_LE(st.slab_records(), 2 * peak_live[&st])
+          << st.DebugString() << " peak " << peak_live[&st];
+    });
+    EXPECT_GE(states, static_cast<size_t>(kStreams));
+    EXPECT_GT(live, 0u);
   }
 }
 
